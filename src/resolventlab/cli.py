@@ -230,8 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="resolventlab",
         description="Resolvent-norm landscape analysis of dense complex matrices.")
     parser.add_argument("--version", action="version", version=f"resolventlab {__version__}")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized options (all current commands are deterministic)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_matrix_z(p, with_z=True):

@@ -3,7 +3,11 @@
 The growth and perturbation machinery requires the top of sigma(S(z)) to be
 an isolated eigenvalue lambda_max(z) above the rest of the spectrum, which
 sits in [0, a(z)]. :func:`spectral_gap_report` checks this numerically and
-packages the eigenspace data everything downstream consumes.
+packages the eigenspace data everything downstream consumes. All of it comes
+from one SVD A - zI = U diag(s) V^H: the eigenvalues of S(z) are s^-2, so
+lambda_max and a(z) are read off the smallest singular values (never off
+R^H R, whose eigensolve loses a(z) near the spectrum), and the top
+eigenspace is spanned by their left singular vectors.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoGapError
-from .matcore import ensure_matrix, gram
+from .matcore import shifted_svd
 
 DEFAULT_GAP_TOL = 1e-6
 
@@ -30,6 +34,9 @@ class SpectralGapReport:
     ``basis`` holds an orthonormal basis of the lambda_max-eigenspace as
     columns of an n x multiplicity array. ``gap_ratio`` is
     lambda_max / a_z, infinite when the rest of the spectrum is empty.
+    In the coordinates of ``basis``, ``r_compressed`` is P R(z) P,
+    ``r2_compressed`` is P R(z)^2 P and ``r2_gram`` is (R(z)^2 P)^* (R(z)^2 P),
+    each multiplicity x multiplicity.
     """
 
     z: complex
@@ -38,9 +45,13 @@ class SpectralGapReport:
     multiplicity: int
     basis: np.ndarray
     gap_ratio: float
+    r_compressed: np.ndarray
+    r2_compressed: np.ndarray
+    r2_gram: np.ndarray
 
     def __post_init__(self):
-        self.basis.setflags(write=False)
+        for array in (self.basis, self.r_compressed, self.r2_compressed, self.r2_gram):
+            array.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -54,17 +65,29 @@ class GapDisk:
         return np.abs(np.asarray(values) - self.center) < self.radius
 
 
-def gram_eigensystem(a, z: complex):
-    """Eigendecomposition of S(z), eigenvalues descending."""
-    s = gram(a, z)
-    evals, evecs = np.linalg.eigh(s)
-    return evals[::-1], evecs[:, ::-1]
+def report_from_svd(z: complex, svd, gap_tol: float) -> SpectralGapReport:
+    """The gap report at z from ``svd = (u, s, vh)``, the SVD of A - zI made
+    by :func:`~resolventlab.matcore.shifted_svd`.
 
-
-def top_cluster_size(evals_desc: np.ndarray) -> int:
-    """Number of leading eigenvalues within TOP_CLUSTER_RTOL of the top."""
-    lam = evals_desc[0]
-    return int(np.sum(evals_desc >= lam * (1.0 - TOP_CLUSTER_RTOL)))
+    Raises :class:`NoGapError` when the relative gap
+    (lambda_max - a_z) / lambda_max falls below ``gap_tol``.
+    """
+    u, s, vh = svd
+    n = s.size
+    evals = s ** -2.0                       # sigma(S(z)), ascending
+    lam = float(evals[-1])
+    mult = int(np.sum(evals >= lam * (1.0 - TOP_CLUSTER_RTOL)))
+    a_z = float(evals[n - 1 - mult]) if mult < n else 0.0
+    rel_gap = (lam - a_z) / lam
+    if rel_gap < gap_tol:
+        raise NoGapError(z, lam, a_z, rel_gap)
+    ratio = np.inf if a_z <= 0.0 else lam / a_z
+    b = np.ascontiguousarray(u[:, n - mult:])
+    bh = b.conj().T
+    rb = vh[n - mult:].conj().T / s[n - mult:]      # R B = V diag(1/s) U^H B
+    y = (u.conj().T @ rb) / s[:, None]              # R^2 B = V y
+    return SpectralGapReport(z, lam, a_z, mult, b, float(ratio),
+                             bh @ rb, (bh @ vh.conj().T) @ y, y.conj().T @ y)
 
 
 def spectral_gap_report(a, z: complex, gap_tol: float = DEFAULT_GAP_TOL) -> SpectralGapReport:
@@ -74,16 +97,7 @@ def spectral_gap_report(a, z: complex, gap_tol: float = DEFAULT_GAP_TOL) -> Spec
     (lambda_max - a_z) / lambda_max falls below ``gap_tol``, and
     :class:`SingularPoint` when z lies in the spectrum.
     """
-    m = ensure_matrix(a)
-    evals, evecs = gram_eigensystem(m, z)
-    lam = float(evals[0])
-    mult = top_cluster_size(evals)
-    a_z = float(evals[mult]) if mult < m.shape[0] else 0.0
-    rel_gap = (lam - a_z) / lam
-    if rel_gap < gap_tol:
-        raise NoGapError(z, lam, a_z, rel_gap)
-    ratio = np.inf if a_z <= 0.0 else lam / a_z
-    return SpectralGapReport(z, lam, a_z, mult, np.ascontiguousarray(evecs[:, :mult]), float(ratio))
+    return report_from_svd(z, shifted_svd(a, z), gap_tol)
 
 
 def riesz_projection(report: SpectralGapReport) -> np.ndarray:

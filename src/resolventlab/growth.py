@@ -20,14 +20,7 @@ from scipy.optimize import minimize
 
 from .errors import DiskHitsSpectrum, DomainError, SegmentHitsSpectrum
 from .gap import SpectralGapReport
-from .matcore import (
-    distance_to_spectrum,
-    ensure_matrix,
-    resolvent,
-    resolvent_norm,
-    singularity_floor,
-    smin_points,
-)
+from .matcore import distance_to_spectrum, ensure_matrix, is_singular, resolvent_norm, smin_points
 
 FIRST_ORDER = "first-order"
 SECOND_ORDER = "second-order"
@@ -245,19 +238,15 @@ def growth_direction(a, z: complex, report: SpectralGapReport,
 
     For degenerate eigenspaces eta1 is the numerical radius of the
     compression P R(z) P, maximized over unit psi in ran P; the maximizing
-    psi is returned with the certificate.
+    psi is returned with the certificate. Everything is read from the
+    compressions the report carries, so ``a`` is not factored again.
     """
-    a = ensure_matrix(a)
     b = report.basis
-    r = resolvent(a, z)
-    s = r.conj().T @ r
     norm_r = math.sqrt(report.lambda_max)
-    m1 = b.conj().T @ r @ b
-    m2 = b.conj().T @ (r @ r) @ b
+    m1, m2 = report.r_compressed, report.r2_compressed
 
     def c2_of(psi_small: np.ndarray) -> float:
-        rpsi = r @ (b @ psi_small)
-        return float((rpsi.conj() @ (s @ rpsi)).real)
+        return float(_quadratic_form(report.r2_gram, psi_small).real)
 
     eta1, psi1 = numerical_radius(m1, n_angles)
     if eta1 > ETA_RTOL * norm_r:
@@ -286,16 +275,12 @@ def min_candidate_check(a, z: complex, report: SpectralGapReport,
     is tested as ||P R(z) P|| <= tol * ||R(z)|| (equivalent by
     polarization); condition (ii) as 0 lying in the numerical range of
     P R(z)^2 P within tol * ||R(z)||^2. ``holds`` does not by itself
-    certify a minimum; use :func:`certify_local_min` for that.
+    certify a minimum; use :func:`certify_local_min` for that. Both are
+    read from the report's compressions.
     """
-    a = ensure_matrix(a)
-    b = report.basis
-    r = resolvent(a, z)
     norm_r = math.sqrt(report.lambda_max)
-    m1 = b.conj().T @ r @ b
-    m2 = b.conj().T @ (r @ r) @ b
-    prp_norm = float(np.linalg.norm(m1, 2))
-    zero_in = numerical_range_distance(m2) <= tol * norm_r ** 2
+    prp_norm = float(np.linalg.norm(report.r_compressed, 2))
+    zero_in = numerical_range_distance(report.r2_compressed) <= tol * norm_r ** 2
     return MinCandidateReport(prp_norm <= tol * norm_r and zero_in, prp_norm, zero_in)
 
 
@@ -313,17 +298,16 @@ def verify_growth(a, z: complex, cert: GrowthCertificate, r_max: float,
     if r_max <= 0 or n_samples < 1:
         raise DomainError("r_max and n_samples must be positive")
     p = 1 if cert.order == FIRST_ORDER else 2
-    base = resolvent_norm(a, z)
-    if not math.isfinite(base.norm):
-        raise SegmentHitsSpectrum(f"base point {z} lies in the spectrum")
-    ts = r_max * np.arange(1, n_samples + 1) / n_samples
+    ts = r_max * np.arange(n_samples + 1) / n_samples
     zetas = z + ts * cmath.exp(1j * cert.phi)
-    smins = smin_points(a, zetas)
-    a_norm = float(np.linalg.norm(a, 2))
-    floors = np.array([singularity_floor(a_norm, zz) for zz in zetas])
-    if np.any(smins <= floors):
+    sv = np.linalg.svd(a[None] - zetas[:, None, None] * np.eye(a.shape[0]), compute_uv=False)
+    singular = is_singular(sv, zetas)
+    if singular[0]:
+        raise SegmentHitsSpectrum(f"base point {z} lies in the spectrum")
+    if np.any(singular):
         raise SegmentHitsSpectrum(f"segment [z, z + {r_max:g} e^(i phi)] meets the spectrum")
-    growth = 1.0 / smins - base.norm
+    ts, smins = ts[1:], sv[1:, -1]
+    growth = 1.0 / smins - 1.0 / sv[0, -1]
     fitted_c = float((growth / ts ** p).min())
     return GrowthVerification(fitted_c, fitted_c > 0.0)
 

@@ -4,6 +4,11 @@ Matrices are plain ``numpy.ndarray`` of complex128; every function validates
 its input through :func:`ensure_matrix`. All operations are pure and the
 returned record types are immutable, so values can be shared freely between
 workers.
+
+Every pointwise quantity comes from one SVD A - zI = U diag(s) V^H
+(:func:`shifted_svd`): R(z) = V diag(1/s) U^H, and S(z) = R^H R =
+U diag(s^-2) U^H, so the eigenvalues of S(z) are s^-2 with the left singular
+vectors as eigenvectors. No explicit inverse is formed.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ import numpy as np
 
 from .errors import SingularPoint
 
-# z counts as spectral when smin(A - zI) <= SINGULARITY_RTOL * (1 + ||A|| + |z|)
+# z counts as spectral when smin(A - zI) <= SINGULARITY_RTOL * (1 + ||A|| + |z|),
+# with ||A|| bounded by sigma_1(A - zI) + |z| from the same SVD
 SINGULARITY_RTOL = 1e-14
 
 # eigenvalues closer than CLUSTER_RTOL * (1 + spectral radius) are merged
@@ -55,14 +61,18 @@ class ResolventValue:
     norm: float
 
 
-def operator_norm(a) -> float:
-    """Largest singular value (spectral norm)."""
-    return float(np.linalg.norm(ensure_matrix(a), 2))
-
-
 def singularity_floor(a_norm: float, z: complex) -> float:
     """Scale-relative threshold below which A - zI counts as singular."""
     return SINGULARITY_RTOL * (1.0 + a_norm + abs(z))
+
+
+def is_singular(s, z):
+    """Whether the singular values ``s`` of A - zI (descending, along the last
+    axis) put z in the spectrum; ``s`` and ``z`` may be batched.
+
+    ||A|| is taken as sigma_1(A - zI) + |z|, which is never below ||A||.
+    """
+    return s[..., -1] <= singularity_floor(s[..., 0] + np.abs(z), z)
 
 
 def spectrum(a, cluster_rtol: float = CLUSTER_RTOL) -> Spectrum:
@@ -97,19 +107,16 @@ def distance_to_spectrum(a, z: complex) -> float:
     return float(np.abs(np.linalg.eigvals(m) - z).min())
 
 
-def resolvent_norm(a, z: complex, a_norm: float | None = None) -> ResolventValue:
+def resolvent_norm(a, z: complex) -> ResolventValue:
     """Resolvent norm ||(A - zI)^-1|| as 1/smin(A - zI).
 
     Returns ``norm = inf`` exactly when smin falls below the singularity
-    floor. ``a_norm`` may be passed to avoid recomputing ||A|| in loops.
+    floor.
     """
     m = ensure_matrix(a)
-    if a_norm is None:
-        a_norm = float(np.linalg.norm(m, 2))
-    smin = float(np.linalg.svd(m - z * np.eye(m.shape[0]), compute_uv=False)[-1])
-    if smin <= singularity_floor(a_norm, z):
-        return ResolventValue(z, smin, np.inf)
-    return ResolventValue(z, smin, 1.0 / smin)
+    s = np.linalg.svd(m - z * np.eye(m.shape[0]), compute_uv=False)
+    smin = float(s[-1])
+    return ResolventValue(z, smin, np.inf if is_singular(s, z) else 1.0 / smin)
 
 
 def smin_points(a, zs) -> np.ndarray:
@@ -132,23 +139,23 @@ def smin_points(a, zs) -> np.ndarray:
     return out.reshape(zs.shape)
 
 
-def resolvent(a, z: complex) -> np.ndarray:
-    """Explicit inverse (A - zI)^-1; raises SingularPoint near the spectrum."""
+def shifted_svd(a, z: complex):
+    """The SVD A - zI = U diag(s) V^H as ``(u, s, vh)``, ``s`` descending.
+
+    Raises :class:`SingularPoint` when z lies in the spectrum within the
+    singularity floor.
+    """
     m = ensure_matrix(a)
-    a_norm = float(np.linalg.norm(m, 2))
-    shifted = m - z * np.eye(m.shape[0])
-    smin = float(np.linalg.svd(shifted, compute_uv=False)[-1])
-    if smin <= singularity_floor(a_norm, z):
-        raise SingularPoint(f"z={z} is in the spectrum within tolerance (smin={smin:.3e})")
-    return np.linalg.inv(shifted)
+    u, s, vh = np.linalg.svd(m - z * np.eye(m.shape[0]))
+    if is_singular(s, z):
+        raise SingularPoint(f"z={z} is in the spectrum within tolerance (smin={s[-1]:.3e})")
+    return u, s, vh
 
 
 def gram(a, z: complex) -> np.ndarray:
-    """S(z) = (A - zI)^-* (A - zI)^-1, Hermitian positive definite.
+    """S(z) = (A - zI)^-* (A - zI)^-1 = U diag(s^-2) U^H, Hermitian positive definite.
 
-    Built from the explicit inverse; the product R^H R is exactly Hermitian
-    in floating point. The largest eigenvalue equals the squared resolvent
-    norm.
+    The largest eigenvalue equals the squared resolvent norm.
     """
-    r = resolvent(a, z)
-    return r.conj().T @ r
+    u, s, _ = shifted_svd(a, z)
+    return (u * s ** -2.0) @ u.conj().T

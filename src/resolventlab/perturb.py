@@ -4,6 +4,13 @@ Given a gapped base point z, the operators W(zeta) and its expansion
 Wtilde(zeta) compress the perturbed S(zeta) onto the lambda_max-eigenspace.
 Their spectra track sigma(S(zeta)) inside the gap disk to third order in
 |zeta - z|, which :func:`cubic_order_sweep` verifies as a log-log slope.
+
+Each point is factored once, by :func:`~resolventlab.matcore.shifted_svd`.
+With A - zI = U diag(s) V^H, S(z) = U diag(s^-2) U^H is diagonal in the
+coordinates of U: ran P is spanned by its last ``multiplicity`` columns (the
+gap report's basis) and ran P_perp by the others. S(zeta) =
+U_zeta diag(s_zeta^-2) U_zeta^H is taken into the same coordinates, so the
+difference S(zeta) - S(z) is never formed.
 """
 
 from __future__ import annotations
@@ -12,16 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlockSingular, EmptySetError, GapLost, NoGapError
-from .gap import (
-    DEFAULT_GAP_TOL,
-    GapDisk,
-    gap_disk,
-    gram_eigensystem,
-    spectral_gap_report,
-    top_cluster_size,
-)
-from .matcore import ensure_matrix, gram, resolvent
+from .errors import BlockSingular, EmptySetError, GapLost
+from .gap import DEFAULT_GAP_TOL, GapDisk, gap_disk, report_from_svd
+from .matcore import ensure_matrix, shifted_svd
 
 # the P_perp block counts as singular when its smallest absolute eigenvalue
 # falls below this fraction of lambda_max
@@ -29,30 +29,13 @@ BLOCK_SINGULAR_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
-class SchurAssembly:
-    """The z-based perturbation operators evaluated at a point zeta.
-
-    P and Pperp act on the full space; W and Wtilde are Hermitian matrices
-    in the orthonormal coordinates of ran P fixed by the gap report basis.
-    """
-
-    z: complex
-    zeta: complex
-    P: np.ndarray
-    Pperp: np.ndarray
-    deltaS: np.ndarray
-    W: np.ndarray
-    Wtilde: np.ndarray
-
-
-@dataclass(frozen=True)
 class OrderFit:
     """Log-log least-squares slope of values against radii.
 
-    Values at or below zero (possible when a quantity is exactly decoupled
-    and only machine noise remains) are excluded from the fit; with fewer
-    than two usable points the slope is reported as +inf, meaning the decay
-    is too fast to measure.
+    Values at or below the rounding level n eps lambda_max(z) (reached when
+    a quantity is decoupled and only machine noise remains) are excluded
+    from the fit; with fewer than two usable points the slope is reported
+    as +inf, meaning the decay is too fast to measure.
     """
 
     radii: np.ndarray
@@ -66,16 +49,30 @@ class CubicOrderReport:
     hausdorff: OrderFit     # d_H(sigma(W) in D, sigma(S(zeta)) in D)
 
 
-def _split(a, z: complex, gap_tol: float):
-    """Eigendata of S(z) split at the top cluster: (lam, B, Q, rest_evals)."""
-    evals, evecs = gram_eigensystem(a, z)
-    lam = float(evals[0])
-    m = top_cluster_size(evals)
-    a_z = float(evals[m]) if m < evals.size else 0.0
-    rel_gap = (lam - a_z) / lam
-    if rel_gap < gap_tol:
-        raise NoGapError(z, lam, a_z, rel_gap)
-    return lam, evecs[:, :m], evecs[:, m:], evals[m:]
+def _base(a, z: complex, gap_tol: float):
+    """The SVD of A - zI and the gap report built on it."""
+    svd = shifted_svd(a, z)
+    return svd, report_from_svd(z, svd, gap_tol)
+
+
+def _gram_rows(cols: np.ndarray, u: np.ndarray, svd_zeta) -> np.ndarray:
+    """cols^H S(zeta) U, for ``cols`` some columns of U, from the SVD of A - zeta I."""
+    uz, sz, _ = svd_zeta
+    return ((cols.conj().T @ uz) * sz ** -2.0) @ uz.conj().T @ u
+
+
+def _w_parts(svd_z, report, svd_zeta):
+    """P S(zeta) P and the Schur tail P dS P_perp (lam - S(z))^-1 P_perp dS P,
+    both on ran P in the report-basis coordinates.
+
+    P S(z) P_perp vanishes, so P dS P_perp = P S(zeta) P_perp, and the
+    middle inverse is diagonal and positive.
+    """
+    u, s, _ = svd_z
+    k = s.size - report.multiplicity
+    row = _gram_rows(report.basis, u, svd_zeta)
+    off = row[:, :k]
+    return row[:, k:], (off / (report.lambda_max - s[:k] ** -2.0)) @ off.conj().T
 
 
 def schur_complement(a, z: complex, zeta: complex, lam: float,
@@ -85,73 +82,46 @@ def schur_complement(a, z: complex, zeta: complex, lam: float,
     F = P S(zeta) P - lam P + P S(zeta) P_perp (lam P_perp - P_perp S(zeta)
     P_perp)^-1 P_perp S(zeta) P, in the report-basis coordinates of ran P.
     """
-    a = ensure_matrix(a)
-    lam_max, b, q, _ = _split(a, z, gap_tol)
-    s_zeta = gram(a, zeta)
-    s_bb = b.conj().T @ s_zeta @ b
-    s_bq = b.conj().T @ s_zeta @ q
-    s_qb = s_bq.conj().T
-    middle = lam * np.eye(q.shape[1]) - q.conj().T @ s_zeta @ q
-    if q.shape[1] > 0:
+    svd_z, report = _base(a, z, gap_tol)
+    u = svd_z[0]
+    k = u.shape[0] - report.multiplicity
+    s_u = _gram_rows(u, u, shifted_svd(a, zeta))
+    middle = lam * np.eye(k) - s_u[:k, :k]
+    if k > 0:
         small = float(np.abs(np.linalg.eigvalsh(middle)).min())
-        if small <= BLOCK_SINGULAR_RTOL * lam_max:
+        if small <= BLOCK_SINGULAR_RTOL * report.lambda_max:
             raise BlockSingular(
                 f"P-perp block of S(zeta)-lambda not invertible (|eig|min={small:.3e})")
-        tail = s_bq @ np.linalg.solve(middle, s_qb)
+        tail = s_u[k:, :k] @ np.linalg.solve(middle, s_u[:k, k:])
     else:
         tail = 0.0
-    return s_bb - lam * np.eye(b.shape[1]) + tail
+    return s_u[k:, k:] - lam * np.eye(report.multiplicity) + tail
 
 
 def w_operator(a, z: complex, zeta: complex, gap_tol: float = DEFAULT_GAP_TOL) -> np.ndarray:
     """W(zeta) on ran P: lam P + P dS P + P dS P_perp (lam - S(z))^-1 P_perp dS P."""
-    a = ensure_matrix(a)
-    lam, b, q, rest = _split(a, z, gap_tol)
-    delta = gram(a, zeta) - gram(a, z)
-    d_bb = b.conj().T @ delta @ b
-    w = lam * np.eye(b.shape[1]) + d_bb
-    if q.shape[1] > 0:
-        d_bq = b.conj().T @ delta @ q
-        # Q diagonalizes S(z), so the middle inverse is diagonal and positive
-        w = w + (d_bq / (lam - rest)[None, :]) @ d_bq.conj().T
-    return w
+    svd_z, report = _base(a, z, gap_tol)
+    psp, tail = _w_parts(svd_z, report, shifted_svd(a, zeta))
+    return psp + tail
 
 
 def w_tilde(a, z: complex, zeta: complex, gap_tol: float = DEFAULT_GAP_TOL) -> np.ndarray:
     """Second-order expansion of W(zeta) in Delta-zeta, on ran P.
 
-    Assembled from compressions of powers of R(z), the |Delta zeta|^2
-    positive term, and the exact second-order Schur tail. Hermitian by
-    construction (conjugate-paired first- and second-order terms).
+    Assembled from the report's compressions of powers of R(z), the
+    |Delta zeta|^2 positive term, and the exact second-order Schur tail.
+    Hermitian by construction (conjugate-paired first- and second-order
+    terms).
     """
-    a = ensure_matrix(a)
-    lam, b, q, rest = _split(a, z, gap_tol)
+    svd_z, report = _base(a, z, gap_tol)
+    lam = report.lambda_max
     dz = complex(zeta - z)
-    r = resolvent(a, z)
-    r2 = r @ r
-    m_r = b.conj().T @ r @ b
-    m_r2 = b.conj().T @ r2 @ b
-    m_pos = (r2 @ b).conj().T @ (r2 @ b)   # P R* S R P = (R^2 P)* (R^2 P)
-    wt = lam * np.eye(b.shape[1], dtype=complex)
+    m_r, m_r2 = report.r_compressed, report.r2_compressed
+    wt = lam * np.eye(report.multiplicity, dtype=complex)
     wt = wt + lam * (dz * m_r + np.conj(dz) * m_r.conj().T)
     wt = wt + lam * (dz ** 2 * m_r2 + np.conj(dz) ** 2 * m_r2.conj().T)
-    wt = wt + abs(dz) ** 2 * m_pos
-    if q.shape[1] > 0:
-        delta = gram(a, zeta) - gram(a, z)
-        d_bq = b.conj().T @ delta @ q
-        wt = wt + (d_bq / (lam - rest)[None, :]) @ d_bq.conj().T
-    return wt
-
-
-def schur_assembly(a, z: complex, zeta: complex, gap_tol: float = DEFAULT_GAP_TOL) -> SchurAssembly:
-    """Bundle P, P_perp, Delta S, W and Wtilde for one (z, zeta) pair."""
-    a = ensure_matrix(a)
-    _, b, _, _ = _split(a, z, gap_tol)
-    p = b @ b.conj().T
-    delta = gram(a, zeta) - gram(a, z)
-    return SchurAssembly(
-        z=z, zeta=zeta, P=p, Pperp=np.eye(a.shape[0]) - p, deltaS=delta,
-        W=w_operator(a, z, zeta, gap_tol), Wtilde=w_tilde(a, z, zeta, gap_tol))
+    wt = wt + abs(dz) ** 2 * report.r2_gram   # P R* S R P = (R^2 P)* (R^2 P)
+    return wt + _w_parts(svd_z, report, shifted_svd(a, zeta))[1]
 
 
 def hausdorff_distance(m_set, n_set) -> float:
@@ -193,18 +163,20 @@ def cubic_order_sweep(a, z: complex, angle: float, radii,
     radii = np.asarray(radii, dtype=float)
     if radii.size < 2 or np.any(radii <= 0) or np.any(np.diff(radii) >= 0):
         raise ValueError("radii must be a strictly decreasing list of positive reals")
-    report = spectral_gap_report(a, z, gap_tol)
+    svd_z, report = _base(a, z, gap_tol)
     disk: GapDisk = gap_disk(report)
     direction = np.exp(1j * angle)
     gap_values = np.empty(radii.size)
     haus_values = np.empty(radii.size)
     for i, r in enumerate(radii):
         zeta = z + r * direction
-        s_evals = np.linalg.eigvalsh(gram(a, zeta))
+        svd_zeta = shifted_svd(a, zeta)
+        s_evals = svd_zeta[1] ** -2.0
         lam_zeta = float(s_evals[-1])
         if not disk.contains([lam_zeta])[0]:
             raise GapLost(f"lambda_max({zeta}) = {lam_zeta:.6e} left the gap disk at r={r:g}")
-        w_evals = np.linalg.eigvalsh(w_operator(a, z, zeta, gap_tol))
+        psp, tail = _w_parts(svd_z, report, svd_zeta)
+        w_evals = np.linalg.eigvalsh(psp + tail)
         w_norm = float(np.abs(w_evals).max())
         gap_values[i] = abs(lam_zeta - w_norm)
         s_in = s_evals[disk.contains(s_evals)]
@@ -212,7 +184,7 @@ def cubic_order_sweep(a, z: complex, angle: float, radii,
         if s_in.size == 0 or w_in.size == 0:
             raise GapLost(f"no spectrum left inside the gap disk at r={r:g}")
         haus_values[i] = hausdorff_distance(w_in, s_in)
-    return CubicOrderReport(
-        norm_gap=OrderFit(radii, gap_values, log_log_slope(radii, gap_values)),
-        hausdorff=OrderFit(radii, haus_values, log_log_slope(radii, haus_values)),
-    )
+    noise = a.shape[0] * np.finfo(float).eps * report.lambda_max
+    norm_gap, hausdorff = (OrderFit(radii, v, log_log_slope(radii, np.where(v > noise, v, 0.0)))
+                           for v in (gap_values, haus_values))
+    return CubicOrderReport(norm_gap=norm_gap, hausdorff=hausdorff)

@@ -8,7 +8,7 @@ from resolventlab.errors import NoGapError, SingularPoint
 from resolventlab.gap import gap_disk, riesz_projection, spectral_gap_report
 from resolventlab.matcore import gram, resolvent_norm
 
-from conftest import gapped_instance
+from conftest import gapped_instance, random_matrix
 
 DIAG124 = np.diag([1.0 + 0j, 2.0, 4.0])
 
@@ -75,6 +75,25 @@ def test_basis_residual_and_orthonormality():
         for j in range(report.multiplicity):
             residual = np.linalg.norm(s @ b[:, j] - report.lambda_max * b[:, j])
             assert residual <= 1e-9 * report.lambda_max
+
+
+def test_near_spectrum_against_mpmath():
+    # a(z) and lambda_max next to an eigenvalue, against 40-digit singular
+    # values; an eigensolve of R^H R loses a(z) here to rounding of lambda_max
+    mpmath = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    for seed in range(3):
+        a = random_matrix(np.random.default_rng(seed), 12)
+        eigenvalue = complex(np.linalg.eigvals(a)[0])
+        for dist in (1e-6, 1e-9, 1e-12):
+            z = eigenvalue + dist
+            with mpmath.workdps(40):
+                m = mpmath.matrix(a.tolist()) - mpmath.mpc(z) * mpmath.eye(12)
+                sv = sorted(float(x) for x in mpmath.svd_c(m, compute_uv=False))
+            report = spectral_gap_report(a, z)
+            assert report.multiplicity == 1
+            assert report.a_z == pytest.approx(sv[1] ** -2, rel=1e-6)
+            assert report.lambda_max == pytest.approx(sv[0] ** -2, rel=eps * sv[-1] / sv[0])
 
 
 def test_lambda_max_is_squared_resolvent_norm():

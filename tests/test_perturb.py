@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from resolventlab.builders import multiplication_example
 from resolventlab.errors import EmptySetError, GapLost, SingularPoint
 from resolventlab.gap import gap_disk, spectral_gap_report
 from resolventlab.matcore import gram
@@ -11,7 +12,6 @@ from resolventlab.perturb import (
     cubic_order_sweep,
     hausdorff_distance,
     log_log_slope,
-    schur_assembly,
     schur_complement,
     w_operator,
     w_tilde,
@@ -92,6 +92,14 @@ class TestWOperator:
         w = w_operator(a, z, zeta)
         assert w.shape == (1, 1)
         assert w[0, 0] == pytest.approx(complex(first + second), rel=1e-10)
+
+    def test_w_and_wtilde_hermitian(self):
+        for seed in range(5):
+            a, z, report = gapped_instance(seed, 5)
+            w = w_operator(a, z, z + 1e-3)
+            wt = w_tilde(a, z, z + 1e-3)
+            assert np.linalg.norm(w - w.conj().T, 2) <= 1e-10 * report.lambda_max
+            assert np.linalg.norm(wt - wt.conj().T, 2) <= 1e-10 * report.lambda_max
 
     def test_spectrum_near_perturbed_gram_cubic(self):
         # the Hausdorff mismatch must decay like r^3 along a sweep
@@ -181,6 +189,14 @@ class TestCubicOrderSweep:
         report = cubic_order_sweep(a, 0, 0.3, [1e-2, 1e-3, 1e-4])
         assert np.all(report.norm_gap.values <= 1e-12)
 
+    def test_rounding_noise_is_left_out_of_the_fit(self):
+        # the multiplication example is diagonal with an 8-fold top, so the
+        # sweep values are rounding noise of lambda_max = 4, not a decay
+        report = cubic_order_sweep(multiplication_example(64, 8), 2.5, 0.9, [1e-2, 1e-3, 1e-4])
+        assert np.all(report.norm_gap.values <= 1e-13)
+        assert report.norm_gap.slope == np.inf
+        assert report.hausdorff.slope == np.inf
+
     def test_random_gapped_slopes(self):
         # acceptance-scale check: 10 seeded gapped 5x5, slope >= 2.7 in >= 9
         good_gap = 0
@@ -207,12 +223,3 @@ class TestCubicOrderSweep:
         with pytest.raises(ValueError):
             cubic_order_sweep(a, z, 0.0, [1e-4, 1e-3])
 
-
-def test_schur_assembly_invariants():
-    for seed in range(5):
-        a, z, report = gapped_instance(seed, 5)
-        asm = schur_assembly(a, z, z + 1e-3)
-        n = a.shape[0]
-        assert np.linalg.norm(asm.P + asm.Pperp - np.eye(n), 2) <= 1e-12
-        assert np.linalg.norm(asm.W - asm.W.conj().T, 2) <= 1e-10 * report.lambda_max
-        assert np.linalg.norm(asm.Wtilde - asm.Wtilde.conj().T, 2) <= 1e-10 * report.lambda_max
