@@ -172,14 +172,12 @@ def _cmd_pspec_scan(args) -> int:
     region = Region(*bounds, args.nx, args.ny)
     grid = scan(a, region)
     if args.out:
-        rows = ["re,im,smin"]
-        res = region.re_points()
-        ims = region.im_points()
-        for ix in range(region.nx):
-            for iy in range(region.ny):
-                rows.append(f"{float(res[ix])!r},{float(ims[iy])!r},{float(grid.smin[ix, iy])!r}")
+        ims = [repr(im) for im in region.im_points().tolist()]
+        rows = [f"{re},{im},{s!r}"
+                for re, col in zip(map(repr, region.re_points().tolist()), grid.smin.tolist())
+                for im, s in zip(ims, col)]
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(rows) + "\n")
+            fh.write("\n".join(["re,im,smin", *rows]) + "\n")
     levels = _parse_float_list(args.eps, "--eps") if args.eps else []
     eigs = spectrum(a).eigenvalues
     if levels:

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DiskHitsSpectrum, DomainError, SegmentHitsSpectrum
 from .gap import SpectralGapReport
@@ -173,6 +172,15 @@ def numerical_range_distance(m, n_angles: int = NUMERICAL_RADIUS_ANGLES) -> floa
 
 def _quadratic_form(m: np.ndarray, psi: np.ndarray) -> complex:
     return complex(psi.conj() @ (m @ psi))
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call: the import
+    costs about 0.2 s and only the Nelder-Mead fallback of
+    :func:`numerical_range_zero_witness` needs it."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def numerical_range_zero_witness(m, tol: float):

@@ -21,17 +21,20 @@ from .growth import growth_direction
 from .matcore import ensure_matrix, smin_points
 
 
+# Step policy: it follows the ascent structure of the proof with explicit
+# numeric substitutes for its uncomputable radii.
+STEP_FRACTION = 0.5       # of the distance to the spectrum
+BACKTRACK = 0.5
+MIN_STEP_RTOL = 1e-9      # scaled by 1 + |z|
+FALLBACK_ANGLES = 64
+
+
 @dataclass(frozen=True)
 class PathOptions:
-    """Step policy; the defaults follow the ascent structure of the proof
-    with explicit numeric substitutes for its uncomputable radii."""
+    """Limits of a path build and the gap tolerance of its certificates."""
 
-    step_fraction: float = 0.5        # of the distance to the spectrum
-    backtrack: float = 0.5
-    min_step_rtol: float = 1e-9       # scaled by 1 + |z|
     max_vertices: int = 10_000
     samples_per_segment: int = 64
-    fallback_angles: int = 64
     gap_tol: float = DEFAULT_GAP_TOL
 
 
@@ -77,7 +80,7 @@ def build_path(a, z: complex, epsilon: float, opts: PathOptions = PathOptions())
 
     vertices = [complex(z)]
     norms = [f0]
-    min_step = opts.min_step_rtol * (1.0 + abs(z))
+    min_step = MIN_STEP_RTOL * (1.0 + abs(z))
     consecutive_stalls = 0
 
     for _ in range(opts.max_vertices):
@@ -96,22 +99,22 @@ def build_path(a, z: complex, epsilon: float, opts: PathOptions = PathOptions())
         accepted = None
         if cert.phi is not None:
             direction = cmath.exp(1j * cert.phi)
-            step = opts.step_fraction * dist
+            step = STEP_FRACTION * dist
             while step >= min_step:
                 y = current + step * direction
                 seg = _norms_on_segment(a, current, y, opts.samples_per_segment)
                 if np.all(seg >= floor) and seg[-1] > f_cur:
                     accepted = (y, float(seg[-1]), step)
                     break
-                step *= opts.backtrack
+                step *= BACKTRACK
 
         if accepted is None:
             # the certificate guarantees an uphill direction exists, but not
             # how far it reaches; scan a circle for the best strict gain
             radius = 0.25 * dist
             best = None
-            for j in range(opts.fallback_angles):
-                theta = 2.0 * math.pi * j / opts.fallback_angles
+            for j in range(FALLBACK_ANGLES):
+                theta = 2.0 * math.pi * j / FALLBACK_ANGLES
                 y = current + radius * cmath.exp(1j * theta)
                 seg = _norms_on_segment(a, current, y, opts.samples_per_segment)
                 if np.all(seg >= floor) and seg[-1] > f_cur:

@@ -4,6 +4,11 @@ The epsilon-pseudospectrum is the strict sublevel set {smin(A - zI) <
 epsilon}; :func:`scan` samples smin on a rectangular grid, :func:`contours`
 extracts marching-squares isolines, and :func:`components` labels the
 sublevel set (4-connected) and counts holes via the 8-connected complement.
+
+:func:`contours` takes the marching-squares case, the NaN-corner mask and
+the saddle-resolving centre average of every cell from numpy over the whole
+grid; crossing nodes are integer edge ids whose points are interpolated as
+arrays. Python runs only over the crossing cells, to chain their segments.
 """
 
 from __future__ import annotations
@@ -95,49 +100,16 @@ def membership(a, z: complex, epsilon: float) -> bool:
     """Strict test smin(A - zI) < epsilon."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    m = ensure_matrix(a)
-    smin = float(np.linalg.svd(m - z * np.eye(m.shape[0]), compute_uv=False)[-1])
-    return smin < epsilon
+    return float(smin_points(a, [z])[0]) < epsilon
 
 
-def _interp(p: float, q: float, level: float) -> float:
-    return (level - p) / (q - p)
-
-
-def _cell_segments(v00, v10, v01, v11, level):
-    """Marching-squares segments for one cell, as pairs of edge ids.
-
-    Edges are 'b' (bottom, y fixed low), 't' (top), 'l' (left), 'r'
-    (right). The ambiguous saddle cases are resolved with the cell-center
-    average.
-    """
-    idx = (v00 < level) | ((v10 < level) << 1) | ((v11 < level) << 2) | ((v01 < level) << 3)
-    if idx in (0, 15):
-        return []
-    table = {
-        1: [("l", "b")], 2: [("b", "r")], 3: [("l", "r")], 4: [("r", "t")],
-        6: [("b", "t")], 7: [("l", "t")], 8: [("t", "l")], 9: [("t", "b")],
-        11: [("t", "r")], 12: [("r", "l")], 13: [("r", "b")], 14: [("b", "l")],
-    }
-    if idx == 5:
-        center_below = 0.25 * (v00 + v10 + v01 + v11) < level
-        return [("l", "t"), ("b", "r")] if center_below else [("l", "b"), ("r", "t")]
-    if idx == 10:
-        center_below = 0.25 * (v00 + v10 + v01 + v11) < level
-        return [("t", "r"), ("b", "l")] if center_below else [("t", "l"), ("b", "r")]
-    return table[idx]
-
-
-def _edge_node(ix, iy, edge):
-    # a node identifies a crossing on a unique grid edge, making segment
-    # chaining exact (no floating-point endpoint matching)
-    if edge == "b":
-        return ("h", ix, iy)
-    if edge == "t":
-        return ("h", ix, iy + 1)
-    if edge == "l":
-        return ("v", ix, iy)
-    return ("v", ix + 1, iy)
+# Marching-squares segments per cell case, as pairs of the cell's bottom,
+# top, left and right edges. Case bit k is set when corner k of (v00, v10,
+# v11, v01) lies below the level. The saddle cases 5 and 10 are listed with
+# the cell centre not below, and again as cases 16 and 17 with it below.
+_SEGMENTS = tuple(tuple(("btlr".index(e1), "btlr".index(e2)) for e1, e2 in case.split())
+                  for case in ("", "lb", "br", "lr", "rt", "lb rt", "bt", "lt", "tl", "tb",
+                               "tl br", "tr", "rl", "rb", "bl", "", "lt br", "tr bl"))
 
 
 def contours(grid: PseudospectrumGrid, levels) -> list:
@@ -145,65 +117,70 @@ def contours(grid: PseudospectrumGrid, levels) -> list:
 
     Returns one list of polylines per level; each polyline is an (k, 2)
     array of (re, im) points, closed when the first and last points
-    coincide and grid-boundary-terminated otherwise.
+    coincide and grid-boundary-terminated otherwise. Cells with a NaN
+    corner are skipped.
     """
     f = grid.smin
+    nx, ny = f.shape
     xs = grid.region.re_points()
     ys = grid.region.im_points()
+    nan = np.isnan(f)
+    nan_cell = nan[:-1, :-1] | nan[1:, :-1] | nan[1:, 1:] | nan[:-1, 1:]
+    centre = 0.25 * (f[:-1, :-1] + f[1:, :-1] + f[:-1, 1:] + f[1:, 1:])
+    # a node is a crossing on a unique grid edge, numbered in the order of
+    # (kind, ix, iy) with the horizontal edges (ix, iy)-(ix + 1, iy) first,
+    # then the vertical ones (ix, iy)-(ix, iy + 1); chaining is then exact
+    n_horizontal = (nx - 1) * ny
     out = []
     for level in levels:
         if level <= 0:
             raise ValueError("contour levels must be positive")
+        below = (f < level).astype(np.int8)
+        case = below[:-1, :-1] | below[1:, :-1] << 1 | below[1:, 1:] << 2 | below[:-1, 1:] << 3
+        centre_below = centre < level
+        case[(case == 5) & centre_below] = 16
+        case[(case == 10) & centre_below] = 17
+        case[nan_cell] = 0
+        ix, iy = np.nonzero((case != 0) & (case != 15))
+        bottom = ix * ny + iy
+        left = n_horizontal + ix * (ny - 1) + iy
+        edges = np.stack([bottom, bottom + 1, left, left + ny - 1], axis=1)
         adjacency: dict = {}
-        for ix in range(grid.region.nx - 1):
-            for iy in range(grid.region.ny - 1):
-                corners = (f[ix, iy], f[ix + 1, iy], f[ix, iy + 1], f[ix + 1, iy + 1])
-                if any(np.isnan(corners)):
-                    continue
-                for e1, e2 in _cell_segments(*corners, level):
-                    n1, n2 = _edge_node(ix, iy, e1), _edge_node(ix, iy, e2)
-                    adjacency.setdefault(n1, []).append(n2)
-                    adjacency.setdefault(n2, []).append(n1)
+        for nodes, c in zip(edges.tolist(), case[ix, iy].tolist()):
+            for e1, e2 in _SEGMENTS[c]:
+                n1, n2 = nodes[e1], nodes[e2]
+                adjacency.setdefault(n1, []).append(n2)
+                adjacency.setdefault(n2, []).append(n1)
 
-        def node_point(node):
-            kind, ix, iy = node
-            if kind == "h":
-                t = _interp(f[ix, iy], f[ix + 1, iy], level)
-                return (xs[ix] + t * (xs[ix + 1] - xs[ix]), ys[iy])
-            t = _interp(f[ix, iy], f[ix, iy + 1], level)
-            return (xs[ix], ys[iy] + t * (ys[iy + 1] - ys[iy]))
-
-        polylines = []
+        chains = []
         visited = set()
-
-        def walk(start):
+        open_ends = sorted(n for n, nbrs in adjacency.items() if len(nbrs) == 1)
+        for start in open_ends + sorted(adjacency):
+            if start in visited:
+                continue
             chain = [start]
             visited.add(start)
-            current = start
             while True:
-                nxt = None
-                for cand in adjacency[current]:
-                    if cand not in visited:
-                        nxt = cand
-                        break
+                nbrs = adjacency[chain[-1]]
+                nxt = next((n for n in nbrs if n not in visited), None)
                 if nxt is None:
-                    for cand in adjacency[current]:
-                        if cand == start and len(chain) > 2:
-                            chain.append(start)   # closed loop
+                    if len(chain) > 2:
+                        chain.extend(n for n in nbrs if n == start)   # closed loop
                     break
                 chain.append(nxt)
                 visited.add(nxt)
-                current = nxt
-            return chain
+            chains.append(chain)
 
-        open_ends = sorted(n for n, nbrs in adjacency.items() if len(nbrs) == 1)
-        for node in open_ends:
-            if node not in visited:
-                polylines.append(walk(node))
-        for node in sorted(adjacency):
-            if node not in visited:
-                polylines.append(walk(node))
-        out.append([np.array([node_point(n) for n in chain]) for chain in polylines])
+        ids = np.array([n for chain in chains for n in chain], dtype=int)
+        horizontal = ids < n_horizontal
+        i0 = np.where(horizontal, ids // ny, (ids - n_horizontal) // (ny - 1))
+        j0 = np.where(horizontal, ids % ny, (ids - n_horizontal) % (ny - 1))
+        i1 = i0 + horizontal
+        j1 = j0 + ~horizontal
+        t = (level - f[i0, j0]) / (f[i1, j1] - f[i0, j0])
+        points = np.stack([np.where(horizontal, xs[i0] + t * (xs[i1] - xs[i0]), xs[i0]),
+                           np.where(horizontal, ys[j0], ys[j0] + t * (ys[j1] - ys[j0]))], axis=1)
+        out.append(np.split(points, np.cumsum([len(c) for c in chains])[:-1]) if chains else [])
     return out
 
 

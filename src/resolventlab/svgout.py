@@ -7,6 +7,8 @@ runs apart from the version comment line.
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import __version__
 from .pspec import PseudospectrumGrid
 
@@ -48,22 +50,17 @@ def render_svg(grid: PseudospectrumGrid, levels, eigenvalues, width: int = 640) 
     ]
     ordered = sorted(set(float(e) for e in levels), reverse=True)
     for i, level in enumerate(ordered):
-        color = _band_color(i, len(ordered))
-        parts.append(f'<g fill="{color}">')
-        below = grid.smin < level
-        for iy in range(region.ny):
-            run_start = None
-            for ix in range(region.nx + 1):
-                inside = ix < region.nx and below[ix, iy]
-                if inside and run_start is None:
-                    run_start = ix
-                elif not inside and run_start is not None:
-                    x0 = px(xs[run_start]) - 0.5 * cell_w
-                    x1 = px(xs[ix - 1]) + 0.5 * cell_w
-                    y0 = py(ys[iy]) - 0.5 * cell_h
-                    parts.append(f'<rect x="{x0:.2f}" y="{y0:.2f}" '
-                                 f'width="{x1 - x0:.2f}" height="{cell_h:.2f}"/>')
-                    run_start = None
+        parts.append(f'<g fill="{_band_color(i, len(ordered))}">')
+        # each row's sublevel runs start at the +1 and end at the -1 steps of the padded mask
+        below = np.pad(grid.smin < level, ((1, 1), (0, 0))).astype(np.int8)
+        steps = np.diff(below, axis=0).T
+        iy, start = np.nonzero(steps == 1)
+        end = np.nonzero(steps == -1)[1]
+        x0 = px(xs[start]) - 0.5 * cell_w
+        x1 = px(xs[end - 1]) + 0.5 * cell_w
+        y0 = py(ys[iy]) - 0.5 * cell_h
+        parts.extend(f'<rect x="{a:.2f}" y="{c:.2f}" width="{b - a:.2f}" height="{cell_h:.2f}"/>'
+                     for a, b, c in zip(x0.tolist(), x1.tolist(), y0.tolist()))
         parts.append("</g>")
     for lam in eigenvalues:
         lam = complex(lam)

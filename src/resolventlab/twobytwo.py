@@ -75,12 +75,17 @@ def closed_form_norm(a, z: complex) -> float:
     """Resolvent norm via the 2x2 closed form, inf on the spectrum.
 
     norm^2 = 2 / (w - sqrt(w^2 - 4h)) evaluated in the cancellation-free
-    form (w + sqrt(w^2 - 4h)) / (2h), which is stable for small h.
+    form (w + sqrt(w^2 - 4h)) / (2h), which is stable for small h. The
+    root is taken as sqrt((p - q)^2 + 4|r|^2), with p and q the squared row
+    norms of A - zI and r their inner product, which is stable also when
+    the two singular values are close and w^2 - 4h cancels.
     """
     v = wh(a, z)
     if v.h == 0.0:
         return math.inf
-    disc = math.sqrt(max(v.w * v.w - 4.0 * v.h, 0.0))
+    rows = _ensure_2x2(a) - z * np.eye(2)
+    p, q = np.sum(np.abs(rows) ** 2, axis=1)
+    disc = math.hypot(p - q, 2.0 * abs(np.vdot(rows[1], rows[0])))
     return math.sqrt((v.w + disc) / (2.0 * v.h))
 
 

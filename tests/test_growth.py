@@ -1,6 +1,9 @@
 """Growth certificates, minimum checks, arcs, and torus coverage."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -349,3 +352,14 @@ class TestNumericalRangeZero:
         cert = growth_direction(a, 0, report)
         assert cert.order == MIN_CANDIDATE
         assert min_candidate_check(a, 0, report).holds
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is imported only by the Nelder-Mead fallback of
+    # numerical_range_zero_witness, on its first call
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, resolventlab; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

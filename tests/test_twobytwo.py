@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from resolventlab.builders import scaled_rotated, type1_matrix, type2_matrix
 from resolventlab.matcore import resolvent_norm
@@ -85,6 +85,8 @@ class TestClosedFormNorm:
             checked += 1
 
     @given(matrices_2x2(), small_complex())
+    # equal singular values to 8 digits, where w^2 - 4h cancels
+    @example(np.array([[0, 2], [2, 1 + 1e-8j]], dtype=complex), 1j)
     def test_symmetry_about_half_trace(self, m, z):
         center = complex(np.trace(m)) / 2
         lhs = closed_form_norm(m, center + z)
