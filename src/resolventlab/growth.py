@@ -126,33 +126,33 @@ def increase_arcs(phi: float, theta: float) -> ArcSet:
     return ArcSet(tuple((c - theta, c + theta) for c in (phi, phi + math.pi)))
 
 
-def _hermitian_part(m: np.ndarray, theta: float) -> np.ndarray:
-    phase = cmath.exp(1j * theta)
-    return 0.5 * (phase * m + np.conj(phase) * m.conj().T)
+def _rotations(m: np.ndarray, vectors: bool = True):
+    """The phases e^{i theta_j}, theta_j = 2 pi j / 256, and one batched
+    ``eigh`` (``eigvalsh`` without ``vectors``) of the rotated Hermitian
+    parts H(theta_j) = (e^{i theta_j} M + e^{-i theta_j} M^H)/2."""
+    thetas = 2.0 * math.pi * np.arange(NUMERICAL_RADIUS_ANGLES) / NUMERICAL_RADIUS_ANGLES
+    phases = np.exp(1j * thetas)
+    h = 0.5 * (phases[:, None, None] * m + np.conj(phases)[:, None, None] * m.conj().T)
+    return phases, (np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h))
 
 
-def numerical_radius(m, n_angles: int = NUMERICAL_RADIUS_ANGLES):
+def numerical_radius(m):
     """max |<psi, M psi>| over unit psi, via the Hermitian-part angle sweep.
 
-    Returns ``(radius, psi)`` where psi attains the sweep maximum. Accuracy
-    is O(1/n_angles^2) relative; the m = 1 case is exact.
+    Returns ``(radius, psi)`` where psi attains the sweep maximum of
+    lambda_max(H(theta)). Accuracy is 1 - cos(pi/256) relative; the m = 1
+    case is exact.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape == (1, 1):
         val = complex(m[0, 0])
         return abs(val), np.array([1.0 + 0j])
-    best = -math.inf
-    best_psi = None
-    for j in range(n_angles):
-        theta = 2.0 * math.pi * j / n_angles
-        evals, evecs = np.linalg.eigh(_hermitian_part(m, theta))
-        if evals[-1] > best:
-            best = float(evals[-1])
-            best_psi = evecs[:, -1]
-    return best, best_psi
+    _, (evals, evecs) = _rotations(m)
+    j = int(np.argmax(evals[:, -1]))
+    return float(evals[j, -1]), evecs[j, :, -1]
 
 
-def numerical_range_distance(m, n_angles: int = NUMERICAL_RADIUS_ANGLES) -> float:
+def numerical_range_distance(m) -> float:
     """Distance from 0 to the (convex) numerical range of M.
 
     By convexity, 0 lies outside iff some rotated Hermitian part is
@@ -162,12 +162,8 @@ def numerical_range_distance(m, n_angles: int = NUMERICAL_RADIUS_ANGLES) -> floa
     m = np.asarray(m, dtype=complex)
     if m.shape == (1, 1):
         return abs(complex(m[0, 0]))
-    best = -math.inf
-    for j in range(n_angles):
-        theta = 2.0 * math.pi * j / n_angles
-        evals = np.linalg.eigvalsh(_hermitian_part(m, theta))
-        best = max(best, float(evals[0]))
-    return max(best, 0.0)
+    _, evals = _rotations(m, vectors=False)
+    return max(float(evals[:, 0].max()), 0.0)
 
 
 def _quadratic_form(m: np.ndarray, psi: np.ndarray) -> complex:
@@ -184,40 +180,39 @@ def minimize(*args, **kwargs):
 
 
 def numerical_range_zero_witness(m, tol: float):
-    """Search for a unit psi with <psi, M psi> = 0 (within tol).
+    """Search for a unit psi with q = <psi, M psi> = 0 (within tol).
 
-    Candidates: coordinate vectors, eigenvectors, the Hermitian-part
-    interpolation that kills Re(e^{i theta} q) exactly followed by a phase
-    solve for the imaginary part, over a theta grid; the best candidate is
-    polished by local minimization of |q|^2. Returns ``(psi, |q(psi)|)``
-    for the best vector found.
+    On each rotation of the sweep, with extreme eigenpairs (h_-, u_-) and
+    (h_+, u_+) of H(theta), psi = c u_+ + s e^{i beta} u_- with
+    c^2 = -h_-/(h_+ - h_-) has Re(e^{i theta} q) = 0 for every beta, and
+    Im(e^{i theta} q) = A + 2|p| sin(beta + arg p) with
+    p = e^{i theta} c s <u_+, M u_->; beta solves it in closed form when
+    |A| <= 2|p| (Carden 2009, Uhlig 2008). The best vector of the sweep is
+    polished by Nelder-Mead only when it misses ``tol``. Returns
+    ``(psi, |q(psi)|)`` for the best vector found.
     """
     m = np.asarray(m, dtype=complex)
     dim = m.shape[0]
     if dim == 1:
         return np.array([1.0 + 0j]), abs(complex(m[0, 0]))
 
-    candidates = [np.eye(dim, dtype=complex)[:, i] for i in range(dim)]
-    candidates.extend(np.linalg.eig(m)[1].T)
-    for j in range(16):
-        theta = math.pi * j / 16.0
-        h = _hermitian_part(m, theta)
-        evals, evecs = np.linalg.eigh(h)
-        if evals[0] > 0 or evals[-1] < 0:
-            continue
-        u_plus, u_minus = evecs[:, -1], evecs[:, 0]
-        h_plus, h_minus = float(evals[-1]), float(evals[0])
-        denom = h_plus - h_minus
-        alpha = math.asin(math.sqrt(min(max(h_plus / denom, 0.0), 1.0))) if denom > 0 else 0.0
-        ca, sa = math.cos(alpha), math.sin(alpha)
-        # Re(e^{i theta} q) = 0 on this beta-circle; pick beta minimizing |q|
-        base = ca * ca * _quadratic_form(m, u_plus) + sa * sa * _quadratic_form(m, u_minus)
-        c_fwd = ca * sa * complex(u_plus.conj() @ (m @ u_minus))
-        c_rev = ca * sa * complex(u_minus.conj() @ (m @ u_plus))
-        betas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-        vals = np.abs(base + np.exp(1j * betas) * c_fwd + np.exp(-1j * betas) * c_rev)
-        beta = betas[int(np.argmin(vals))]
-        candidates.append(ca * u_plus + cmath.exp(1j * beta) * sa * u_minus)
+    phases, (evals, evecs) = _rotations(m)
+    h_minus, h_plus = evals[:, 0], evals[:, -1]
+    u_minus, u_plus = evecs[:, :, 0], evecs[:, :, -1]
+    width = h_plus - h_minus
+    c2 = np.clip(-h_minus / np.where(width > 0, width, 1.0), 0.0, 1.0)
+    c, s = np.sqrt(c2), np.sqrt(1.0 - c2)
+
+    def forms(x, y):   # <x_j, M y_j> for every rotation j
+        return np.einsum("ji,ik,jk->j", x.conj(), m, y)
+
+    a_im = (phases * (c2 * forms(u_plus, u_plus) + (1.0 - c2) * forms(u_minus, u_minus))).imag
+    p = phases * c * s * forms(u_plus, u_minus)
+    # sin(beta + arg p) = -A/(2|p|), clipped to the nearest attainable value
+    cos_part = np.sqrt(np.maximum(4.0 * np.abs(p) ** 2 - a_im ** 2, 0.0))
+    beta = np.arctan2(-a_im, cos_part) - np.angle(p)
+    psis = c[:, None] * u_plus + (s * np.exp(1j * beta))[:, None] * u_minus
+    best_psi = psis[int(np.argmin(np.abs(forms(psis, psis))))]
 
     def objective(x):
         v = x[:dim] + 1j * x[dim:]
@@ -227,8 +222,6 @@ def numerical_range_zero_witness(m, tol: float):
         v = v / nrm
         return abs(_quadratic_form(m, v)) ** 2
 
-    best_psi = min(candidates, key=lambda v: abs(_quadratic_form(m, v / np.linalg.norm(v))))
-    best_psi = best_psi / np.linalg.norm(best_psi)
     if abs(_quadratic_form(m, best_psi)) > tol:
         x0 = np.concatenate([best_psi.real, best_psi.imag])
         res = minimize(objective, x0, method="Nelder-Mead",
@@ -240,8 +233,7 @@ def numerical_range_zero_witness(m, tol: float):
     return best_psi, abs(_quadratic_form(m, best_psi))
 
 
-def growth_direction(a, z: complex, report: SpectralGapReport,
-                     n_angles: int = NUMERICAL_RADIUS_ANGLES) -> GrowthCertificate:
+def growth_direction(a, z: complex, report: SpectralGapReport) -> GrowthCertificate:
     """Select the certified growth direction at a gapped point z.
 
     For degenerate eigenspaces eta1 is the numerical radius of the
@@ -256,20 +248,21 @@ def growth_direction(a, z: complex, report: SpectralGapReport,
     def c2_of(psi_small: np.ndarray) -> float:
         return float(_quadratic_form(report.r2_gram, psi_small).real)
 
-    eta1, psi1 = numerical_radius(m1, n_angles)
+    eta1, psi1 = numerical_radius(m1)
     if eta1 > ETA_RTOL * norm_r:
         val = _quadratic_form(m1, psi1)
         return GrowthCertificate(z, FIRST_ORDER, -cmath.phase(val), float(eta1),
                                  abs(_quadratic_form(m2, psi1)), c2_of(psi1), b @ psi1)
 
     tol2 = ETA_RTOL * norm_r ** 2
-    if numerical_range_distance(m2, n_angles) <= tol2:
+    dist2 = numerical_range_distance(m2)
+    if dist2 <= tol2:
         witness, q_abs = numerical_range_zero_witness(m2, tol2)
-        eta2 = q_abs if q_abs <= tol2 else numerical_range_distance(m2, n_angles)
+        eta2 = q_abs if q_abs <= tol2 else dist2
         return GrowthCertificate(z, MIN_CANDIDATE, None, float(eta1),
                                  float(eta2), c2_of(witness), b @ witness)
 
-    eta2, psi2 = numerical_radius(m2, n_angles)
+    eta2, psi2 = numerical_radius(m2)
     val2 = _quadratic_form(m2, psi2)
     return GrowthCertificate(z, SECOND_ORDER, -cmath.phase(val2) / 2.0, float(eta1),
                              float(eta2), c2_of(psi2), b @ psi2)

@@ -226,7 +226,7 @@ def test_criterion_7_path_construction():
             continue
         successes += 1
         monotone_ok = monotone_ok and bool(np.all(np.diff(p.vertex_norms) > 0))
-        validated_ok = validated_ok and validate_path(a, p, eps, samples_per_segment=64)
+        validated_ok = validated_ok and validate_path(a, p, eps)
     ok = successes >= 95 and monotone_ok and validated_ok
     _report(7, ok, f"{successes}/100 paths built, monotone={monotone_ok}, "
                    f"validated={validated_ok}")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from resolventlab import growth
 from resolventlab.builders import block_diag, cyclic_matrix, example_last, example_last_blocks
 from resolventlab.errors import DiskHitsSpectrum, DomainError
 from resolventlab.gap import spectral_gap_report
@@ -327,16 +328,120 @@ def test_numerical_radius_scalar_exact():
     assert abs(psi[0]) == pytest.approx(1.0)
 
 
+SWEEP_RTOL = 1 - math.cos(math.pi / 256)   # worst angle offset of the 256-rotation sweep
+
+
+def count_minimize_calls(monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real_minimize(*args, **kwargs)
+
+    real_minimize = growth.minimize
+    monkeypatch.setattr(growth, "minimize", spy)
+    return calls
+
+
+def normal_matrix(rng, d):
+    q, _ = np.linalg.qr(rng.standard_normal((len(d), len(d)))
+                        + 1j * rng.standard_normal((len(d), len(d))))
+    return q @ np.diag(d) @ q.conj().T
+
+
+def segment_distance(d1, d2):
+    t = min(max(-(d1.conjugate() * (d2 - d1)).real / abs(d2 - d1) ** 2, 0.0), 1.0)
+    return abs(d1 + t * (d2 - d1))
+
+
+class TestNumericalRangeSweep:
+    def test_matches_per_angle_loop(self):
+        # reference: one eigh per rotation angle, as a plain loop
+        rng = np.random.default_rng(4)
+        for n in range(2, 9):
+            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            m += (n % 2) * 4.0 * np.exp(1j * n) * np.eye(n)   # 0 outside W for odd n
+            tops, bottoms = [], []
+            for j in range(256):
+                phase = np.exp(2j * math.pi * j / 256)
+                evals = np.linalg.eigvalsh(0.5 * (phase * m + np.conj(phase) * m.conj().T))
+                tops.append(evals[-1])
+                bottoms.append(evals[0])
+            assert numerical_radius(m)[0] == pytest.approx(max(tops), rel=1e-15)
+            assert numerical_range_distance(m) == pytest.approx(max(max(bottoms), 0.0), rel=1e-15)
+
+    def test_radius_of_normal_matrices(self):
+        # W(Q diag(d) Q^H) is the convex hull of d, so its radius is max |d_k|
+        rng = np.random.default_rng(5)
+        for n in range(2, 7):
+            d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            r, psi = numerical_radius(normal_matrix(rng, d))
+            want = np.abs(d).max()
+            assert want * (1 - SWEEP_RTOL) - 1e-13 <= r <= want * (1 + 1e-13)
+            assert np.linalg.norm(psi) == pytest.approx(1.0, rel=1e-12)
+
+    def test_distance_to_segment_from_its_end(self):
+        # two eigenvalues: W is the segment [d1, d2]; d2 lies beyond d1 as
+        # seen from 0, so the nearest point of W is d1
+        rng = np.random.default_rng(6)
+        for n in (2, 3, 4):
+            d1 = complex(rng.uniform(0.2, 2.0) * np.exp(1j * rng.uniform(0, 2 * math.pi)))
+            d2 = d1 + rng.uniform(0.1, 3.0) * d1 / abs(d1) * np.exp(1j * rng.uniform(-1.4, 1.4))
+            dist = numerical_range_distance(normal_matrix(rng, [d1] + [d2] * (n - 1)))
+            want = segment_distance(d1, d2)
+            assert want == pytest.approx(abs(d1), rel=1e-12)
+            assert want * (1 - SWEEP_RTOL) - 1e-13 <= dist <= want * (1 + 1e-13)
+
+    def test_distance_to_segment_from_its_interior(self):
+        # the segment is perpendicular to a swept direction, so the sweep
+        # meets its nearest interior point exactly
+        rng = np.random.default_rng(7)
+        for j in (0, 37, 200):
+            rot = np.exp(-2j * math.pi * j / 256)
+            dist_want = rng.uniform(0.2, 2.0)
+            d1 = rot * complex(dist_want, rng.uniform(0.1, 2.0))
+            d2 = rot * complex(dist_want, -rng.uniform(0.1, 2.0))
+            want = segment_distance(d1, d2)
+            assert want == pytest.approx(dist_want, rel=1e-12)
+            dist = numerical_range_distance(normal_matrix(rng, [d1, d2]))
+            assert dist == pytest.approx(want, rel=1e-12)
+
+    def test_distance_zero_when_segment_crosses_zero(self):
+        rng = np.random.default_rng(8)
+        assert numerical_range_distance(normal_matrix(rng, [1 + 1j, -2 - 2j])) == 0.0
+
+
 class TestNumericalRangeZero:
-    def test_witness_inside_ellipse(self):
+    def test_witness_inside_ellipse(self, monkeypatch):
         # 0 lies between the eigenvalues of this 2x2, hence inside the
         # elliptical numerical range; a zero of the quadratic form exists
         # but is not a coordinate vector
+        calls = count_minimize_calls(monkeypatch)
         m = np.array([[1.0, 0.3], [0.1j, -1.0 + 0.2j]], dtype=complex)
         assert numerical_range_distance(m) == 0.0
         psi, q_abs = numerical_range_zero_witness(m, 1e-10)
         assert np.linalg.norm(psi) == pytest.approx(1.0, rel=1e-12)
         assert q_abs <= 1e-10
+        assert calls == []
+
+    def test_closed_form_witness_without_nelder_mead(self, monkeypatch):
+        # on seeded inputs with 0 in W(M) the rotation sweep alone reaches
+        # |q| <= 1e-12 ||M||
+        calls = count_minimize_calls(monkeypatch)
+        rng = np.random.default_rng(2024)
+        tested = 0
+        while tested < 60:
+            n = 2 + tested % 4
+            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            if numerical_range_distance(m) != 0.0:
+                continue
+            tol = 1e-12 * np.linalg.norm(m, 2)
+            psi, q_abs = numerical_range_zero_witness(m, tol)
+            assert np.linalg.norm(psi) == pytest.approx(1.0, rel=1e-12)
+            assert q_abs <= tol
+            assert abs(psi.conj() @ m @ psi) <= tol
+            tested += 1
+        assert calls == []
 
     def test_distance_positive_when_zero_outside(self):
         m = np.eye(2, dtype=complex) + 0.1j * np.eye(2)
