@@ -36,7 +36,7 @@ from .matcore import (
     spectrum,
 )
 from .matio import load_matrix, parse_complex, save_matrix
-from .path import PathOptions, PolygonalPath, build_path, validate_path
+from .path import PolygonalPath, build_path, validate_path
 from .perturb import (
     CubicOrderReport,
     cubic_order_sweep,

@@ -25,11 +25,11 @@ import numpy as np
 
 from . import __version__, builders
 from .errors import MatrixFormatError, ResolventLabError
-from .gap import DEFAULT_GAP_TOL, spectral_gap_report
+from .gap import spectral_gap_report
 from .growth import certify_local_min, growth_direction, verify_growth
 from .matcore import spectrum
 from .matio import load_matrix, parse_complex, save_matrix
-from .path import PathOptions, build_path
+from .path import build_path
 from .perturb import cubic_order_sweep
 from .pspec import Region, contours, scan
 from .svgout import render_svg
@@ -65,7 +65,7 @@ def _emit_json(obj, out=None) -> None:
 
 def _cmd_gap(args) -> int:
     a = load_matrix(args.matrix)
-    report = spectral_gap_report(a, parse_complex(args.z), args.gap_tol)
+    report = spectral_gap_report(a, parse_complex(args.z))
     _emit_json({
         "z": report.z,
         "lambda_max": report.lambda_max,
@@ -105,7 +105,7 @@ def _cmd_certify_min(args) -> int:
 def _cmd_growth(args) -> int:
     a = load_matrix(args.matrix)
     z = parse_complex(args.z)
-    report = spectral_gap_report(a, z, args.gap_tol)
+    report = spectral_gap_report(a, z)
     cert = growth_direction(a, z, report)
     payload = {
         "z": z,
@@ -133,7 +133,7 @@ def _parse_float_list(text: str, flag: str) -> list:
 def _cmd_perturb_order(args) -> int:
     a = load_matrix(args.matrix)
     radii = _parse_float_list(args.radii, "--radii")
-    report = cubic_order_sweep(a, parse_complex(args.z), args.angle, radii, args.gap_tol)
+    report = cubic_order_sweep(a, parse_complex(args.z), args.angle, radii)
     lines = ["radius,gap_value,hausdorff_value"]
     for r, g, h in zip(report.norm_gap.radii, report.norm_gap.values, report.hausdorff.values):
         lines.append(f"{float(r)!r},{float(g)!r},{float(h)!r}")
@@ -152,8 +152,7 @@ def _cmd_perturb_order(args) -> int:
 
 def _cmd_path(args) -> int:
     a = load_matrix(args.matrix)
-    opts = PathOptions(gap_tol=args.gap_tol)
-    p = build_path(a, parse_complex(args.z), args.eps, opts)
+    p = build_path(a, parse_complex(args.z), args.eps)
     _emit_json({
         "epsilon": p.epsilon,
         "floor": p.floor,
@@ -237,7 +236,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gap", help="verify the spectral gap of S(z) at a point")
     add_matrix_z(p)
-    p.add_argument("--gap-tol", type=float, default=DEFAULT_GAP_TOL, dest="gap_tol")
     p.set_defaults(func=_cmd_gap)
 
     p = sub.add_parser("classify2", help="closed-form landscape classification of a 2x2 matrix")
@@ -254,7 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_matrix_z(p)
     p.add_argument("--rmax", type=float, default=None)
     p.add_argument("--samples", type=int, default=16)
-    p.add_argument("--gap-tol", type=float, default=DEFAULT_GAP_TOL, dest="gap_tol")
     p.set_defaults(func=_cmd_growth)
 
     p = sub.add_parser("perturb-order", help="third-order sweep of the Schur operators")
@@ -262,14 +259,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--angle", type=float, required=True)
     p.add_argument("--radii", required=True, help="comma-separated decreasing radii")
     p.add_argument("--csv", default=None, help="write the per-radius CSV here instead of stdout")
-    p.add_argument("--gap-tol", type=float, default=DEFAULT_GAP_TOL, dest="gap_tol")
     p.set_defaults(func=_cmd_perturb_order)
 
     p = sub.add_parser("path", help="polygonal ascent path inside the pseudospectrum")
     add_matrix_z(p)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--gap-tol", type=float, default=DEFAULT_GAP_TOL, dest="gap_tol")
     p.set_defaults(func=_cmd_path)
 
     p_pspec = sub.add_parser("pspec", help="pseudospectrum grid operations")

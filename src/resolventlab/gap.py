@@ -19,10 +19,10 @@ import numpy as np
 from .errors import NoGapError
 from .matcore import shifted_svd
 
-DEFAULT_GAP_TOL = 1e-6
+GAP_RTOL = 1e-6
 
 # eigenvalues of S(z) within this relative distance of the top are counted
-# into the lambda_max eigenspace; kept below DEFAULT_GAP_TOL so that a
+# into the lambda_max eigenspace; kept below GAP_RTOL so that a
 # cluster is either merged into the top or flagged as NoGap, never both
 TOP_CLUSTER_RTOL = 1e-9
 
@@ -65,12 +65,12 @@ class GapDisk:
         return np.abs(np.asarray(values) - self.center) < self.radius
 
 
-def report_from_svd(z: complex, svd, gap_tol: float) -> SpectralGapReport:
+def report_from_svd(z: complex, svd) -> SpectralGapReport:
     """The gap report at z from ``svd = (u, s, vh)``, the SVD of A - zI made
     by :func:`~resolventlab.matcore.shifted_svd`.
 
     Raises :class:`NoGapError` when the relative gap
-    (lambda_max - a_z) / lambda_max falls below ``gap_tol``.
+    (lambda_max - a_z) / lambda_max falls below ``GAP_RTOL``.
     """
     u, s, vh = svd
     n = s.size
@@ -79,7 +79,7 @@ def report_from_svd(z: complex, svd, gap_tol: float) -> SpectralGapReport:
     mult = int(np.sum(evals >= lam * (1.0 - TOP_CLUSTER_RTOL)))
     a_z = float(evals[n - 1 - mult]) if mult < n else 0.0
     rel_gap = (lam - a_z) / lam
-    if rel_gap < gap_tol:
+    if rel_gap < GAP_RTOL:
         raise NoGapError(z, lam, a_z, rel_gap)
     ratio = np.inf if a_z <= 0.0 else lam / a_z
     b = np.ascontiguousarray(u[:, n - mult:])
@@ -90,14 +90,14 @@ def report_from_svd(z: complex, svd, gap_tol: float) -> SpectralGapReport:
                              bh @ rb, (bh @ vh.conj().T) @ y, y.conj().T @ y)
 
 
-def spectral_gap_report(a, z: complex, gap_tol: float = DEFAULT_GAP_TOL) -> SpectralGapReport:
+def spectral_gap_report(a, z: complex) -> SpectralGapReport:
     """Verify the gap condition at z and return the eigenspace data.
 
     Raises :class:`NoGapError` when the relative gap
-    (lambda_max - a_z) / lambda_max falls below ``gap_tol``, and
+    (lambda_max - a_z) / lambda_max falls below ``GAP_RTOL``, and
     :class:`SingularPoint` when z lies in the spectrum.
     """
-    return report_from_svd(z, shifted_svd(a, z), gap_tol)
+    return report_from_svd(z, shifted_svd(a, z))
 
 
 def riesz_projection(report: SpectralGapReport) -> np.ndarray:

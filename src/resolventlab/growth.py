@@ -30,6 +30,7 @@ MIN_CANDIDATE = "min-candidate"
 ETA_RTOL = 1e-9
 
 NUMERICAL_RADIUS_ANGLES = 256
+COVERAGE_GRID = 100_000
 
 
 @dataclass(frozen=True)
@@ -268,21 +269,20 @@ def growth_direction(a, z: complex, report: SpectralGapReport) -> GrowthCertific
                              float(eta2), c2_of(psi2), b @ psi2)
 
 
-def min_candidate_check(a, z: complex, report: SpectralGapReport,
-                        tol: float = ETA_RTOL) -> MinCandidateReport:
+def min_candidate_check(a, z: complex, report: SpectralGapReport) -> MinCandidateReport:
     """Test the two algebraic local-minimum conditions at z.
 
     Condition (i), the first compression vanishing on the whole eigenspace,
-    is tested as ||P R(z) P|| <= tol * ||R(z)|| (equivalent by
+    is tested as ||P R(z) P|| <= ETA_RTOL * ||R(z)|| (equivalent by
     polarization); condition (ii) as 0 lying in the numerical range of
-    P R(z)^2 P within tol * ||R(z)||^2. ``holds`` does not by itself
+    P R(z)^2 P within ETA_RTOL * ||R(z)||^2. ``holds`` does not by itself
     certify a minimum; use :func:`certify_local_min` for that. Both are
     read from the report's compressions.
     """
     norm_r = math.sqrt(report.lambda_max)
     prp_norm = float(np.linalg.norm(report.r_compressed, 2))
-    zero_in = numerical_range_distance(report.r2_compressed) <= tol * norm_r ** 2
-    return MinCandidateReport(prp_norm <= tol * norm_r and zero_in, prp_norm, zero_in)
+    zero_in = numerical_range_distance(report.r2_compressed) <= ETA_RTOL * norm_r ** 2
+    return MinCandidateReport(prp_norm <= ETA_RTOL * norm_r and zero_in, prp_norm, zero_in)
 
 
 def verify_growth(a, z: complex, cert: GrowthCertificate, r_max: float,
@@ -345,21 +345,21 @@ def theta_arc(k: float) -> float:
     return math.pi / 2.0 - 0.5 * math.acos(min(gamma, 1.0))
 
 
-def torus_coverage(pairs, grid_points: int = 100_000) -> bool:
+def torus_coverage(pairs) -> bool:
     """Do the open arcs ]phi_j - theta_j, phi_j + theta_j[ cover all directions mod pi?
 
-    Tested on a uniform grid of [0, pi). Arcs are kept open; a grid point
-    left uncovered is accepted only when there are at most two of them and
-    each coincides with an arc endpoint that is shared by the pi-shifted
-    copy of an arc (the k = 2 case, where a single arc covers everything
-    except the exact perpendicular direction).
+    Tested on a uniform grid of ``COVERAGE_GRID`` points of [0, pi). Arcs
+    are kept open; a grid point left uncovered is accepted only when there
+    are at most two of them and each coincides with an arc endpoint that is
+    shared by the pi-shifted copy of an arc (the k = 2 case, where a single
+    arc covers everything except the exact perpendicular direction).
     """
     pairs = [(float(p), float(t)) for p, t in pairs]
     for _, theta in pairs:
         if not (math.pi / 4.0 < theta <= math.pi / 2.0 + 1e-15):
             raise DomainError(f"arc half-width {theta} outside (pi/4, pi/2]")
-    ts = math.pi * np.arange(grid_points) / grid_points
-    covered = np.zeros(grid_points, dtype=bool)
+    ts = math.pi * np.arange(COVERAGE_GRID) / COVERAGE_GRID
+    covered = np.zeros(COVERAGE_GRID, dtype=bool)
     for phi, theta in pairs:
         x = np.mod(ts - (phi - theta), math.pi)
         covered |= (x > 0.0) & (x < 2.0 * theta)
@@ -370,7 +370,7 @@ def torus_coverage(pairs, grid_points: int = 100_000) -> bool:
         return False
     lefts = np.array([(phi - theta) % math.pi for phi, theta in pairs])
     rights = np.array([(phi + theta) % math.pi for phi, theta in pairs])
-    step = math.pi / grid_points
+    step = math.pi / COVERAGE_GRID
 
     def near(u, ends):
         d = np.abs(ends - u)

@@ -75,16 +75,16 @@ def is_singular(s, z):
     return s[..., -1] <= singularity_floor(s[..., 0] + np.abs(z), z)
 
 
-def spectrum(a, cluster_rtol: float = CLUSTER_RTOL) -> Spectrum:
+def spectrum(a) -> Spectrum:
     """Eigenvalues of ``a`` clustered into distinct values with multiplicities.
 
     Numerical eigensolvers split multiple eigenvalues into tight clouds;
-    eigenvalues within ``cluster_rtol * (1 + spectral radius)`` of a cluster
+    eigenvalues within ``CLUSTER_RTOL * (1 + spectral radius)`` of a cluster
     mean are merged and their count accumulated.
     """
     m = ensure_matrix(a)
     raw = np.linalg.eigvals(m)
-    tol = cluster_rtol * (1.0 + float(np.abs(raw).max()))
+    tol = CLUSTER_RTOL * (1.0 + float(np.abs(raw).max()))
     order = np.lexsort((raw.imag, raw.real))
     centers: list[complex] = []
     counts: list[int] = []

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, MaxVerticesExceeded, StallDetected
-from .gap import DEFAULT_GAP_TOL, spectral_gap_report
+from .gap import spectral_gap_report
 from .growth import growth_direction
 from .matcore import ensure_matrix, smin_points
 
@@ -29,14 +29,7 @@ BACKTRACK = 0.5
 MIN_STEP_RTOL = 1e-9      # scaled by 1 + |z|
 FALLBACK_ANGLES = 64
 SAMPLES_PER_SEGMENT = 64
-
-
-@dataclass(frozen=True)
-class PathOptions:
-    """Limits of a path build and the gap tolerance of its certificates."""
-
-    max_vertices: int = 10_000
-    gap_tol: float = DEFAULT_GAP_TOL
+MAX_VERTICES = 10_000
 
 
 @dataclass(frozen=True)
@@ -62,7 +55,7 @@ def _norms_on_segment(a, x, y) -> np.ndarray:
         return 1.0 / smin_points(a, pts)
 
 
-def build_path(a, z: complex, epsilon: float, opts: PathOptions = PathOptions()) -> PolygonalPath:
+def build_path(a, z: complex, epsilon: float) -> PolygonalPath:
     """Build a polygonal path from z to an eigenvalue ball of radius eps/2.
 
     Requires smin(A - zI) < epsilon. At each vertex the growth certificate
@@ -88,7 +81,7 @@ def build_path(a, z: complex, epsilon: float, opts: PathOptions = PathOptions())
     min_step = MIN_STEP_RTOL * (1.0 + abs(z))
     consecutive_stalls = 0
 
-    for _ in range(opts.max_vertices):
+    for _ in range(MAX_VERTICES):
         current = vertices[-1]
         f_cur = norms[-1]
         dist = float(np.abs(eigs - current).min())
@@ -98,7 +91,7 @@ def build_path(a, z: complex, epsilon: float, opts: PathOptions = PathOptions())
                                  terminal, float(floor), np.array(norms))
 
         # NoGapError propagates with the stalled vertex in its payload
-        report = spectral_gap_report(a, current, opts.gap_tol)
+        report = spectral_gap_report(a, current)
         cert = growth_direction(a, current, report)
 
         accepted = None
@@ -136,7 +129,7 @@ def build_path(a, z: complex, epsilon: float, opts: PathOptions = PathOptions())
         vertices.append(accepted[0])
         norms.append(accepted[1])
 
-    raise MaxVerticesExceeded(f"no eigenvalue ball reached within {opts.max_vertices} vertices")
+    raise MaxVerticesExceeded(f"no eigenvalue ball reached within {MAX_VERTICES} vertices")
 
 
 def validate_path(a, path: PolygonalPath, epsilon: float) -> bool:

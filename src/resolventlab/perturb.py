@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlockSingular, EmptySetError, GapLost
-from .gap import DEFAULT_GAP_TOL, GapDisk, gap_disk, report_from_svd
+from .gap import GapDisk, gap_disk, report_from_svd
 from .matcore import ensure_matrix, shifted_svd
 
 # the P_perp block counts as singular when its smallest absolute eigenvalue
@@ -49,10 +49,10 @@ class CubicOrderReport:
     hausdorff: OrderFit     # d_H(sigma(W) in D, sigma(S(zeta)) in D)
 
 
-def _base(a, z: complex, gap_tol: float):
+def _base(a, z: complex):
     """The SVD of A - zI and the gap report built on it."""
     svd = shifted_svd(a, z)
-    return svd, report_from_svd(z, svd, gap_tol)
+    return svd, report_from_svd(z, svd)
 
 
 def _gram_rows(cols: np.ndarray, u: np.ndarray, svd_zeta) -> np.ndarray:
@@ -75,14 +75,13 @@ def _w_parts(svd_z, report, svd_zeta):
     return row[:, k:], (off / (report.lambda_max - s[:k] ** -2.0)) @ off.conj().T
 
 
-def schur_complement(a, z: complex, zeta: complex, lam: float,
-                     gap_tol: float = DEFAULT_GAP_TOL) -> np.ndarray:
+def schur_complement(a, z: complex, zeta: complex, lam: float) -> np.ndarray:
     """Feshbach reduction F(zeta, lam) of S(zeta) - lam onto ran P.
 
     F = P S(zeta) P - lam P + P S(zeta) P_perp (lam P_perp - P_perp S(zeta)
     P_perp)^-1 P_perp S(zeta) P, in the report-basis coordinates of ran P.
     """
-    svd_z, report = _base(a, z, gap_tol)
+    svd_z, report = _base(a, z)
     u = svd_z[0]
     k = u.shape[0] - report.multiplicity
     s_u = _gram_rows(u, u, shifted_svd(a, zeta))
@@ -98,14 +97,14 @@ def schur_complement(a, z: complex, zeta: complex, lam: float,
     return s_u[k:, k:] - lam * np.eye(report.multiplicity) + tail
 
 
-def w_operator(a, z: complex, zeta: complex, gap_tol: float = DEFAULT_GAP_TOL) -> np.ndarray:
+def w_operator(a, z: complex, zeta: complex) -> np.ndarray:
     """W(zeta) on ran P: lam P + P dS P + P dS P_perp (lam - S(z))^-1 P_perp dS P."""
-    svd_z, report = _base(a, z, gap_tol)
+    svd_z, report = _base(a, z)
     psp, tail = _w_parts(svd_z, report, shifted_svd(a, zeta))
     return psp + tail
 
 
-def w_tilde(a, z: complex, zeta: complex, gap_tol: float = DEFAULT_GAP_TOL) -> np.ndarray:
+def w_tilde(a, z: complex, zeta: complex) -> np.ndarray:
     """Second-order expansion of W(zeta) in Delta-zeta, on ran P.
 
     Assembled from the report's compressions of powers of R(z), the
@@ -113,7 +112,7 @@ def w_tilde(a, z: complex, zeta: complex, gap_tol: float = DEFAULT_GAP_TOL) -> n
     Hermitian by construction (conjugate-paired first- and second-order
     terms).
     """
-    svd_z, report = _base(a, z, gap_tol)
+    svd_z, report = _base(a, z)
     lam = report.lambda_max
     dz = complex(zeta - z)
     m_r, m_r2 = report.r_compressed, report.r2_compressed
@@ -150,8 +149,7 @@ def log_log_slope(radii, values) -> float:
     return float(coeff[0])
 
 
-def cubic_order_sweep(a, z: complex, angle: float, radii,
-                      gap_tol: float = DEFAULT_GAP_TOL) -> CubicOrderReport:
+def cubic_order_sweep(a, z: complex, angle: float, radii) -> CubicOrderReport:
     """Sweep zeta = z + r e^{i angle} and fit the third-order estimates.
 
     For each radius the sweep records |lambda_max(zeta) - ||W(zeta)||| and
@@ -163,7 +161,7 @@ def cubic_order_sweep(a, z: complex, angle: float, radii,
     radii = np.asarray(radii, dtype=float)
     if radii.size < 2 or np.any(radii <= 0) or np.any(np.diff(radii) >= 0):
         raise ValueError("radii must be a strictly decreasing list of positive reals")
-    svd_z, report = _base(a, z, gap_tol)
+    svd_z, report = _base(a, z)
     disk: GapDisk = gap_disk(report)
     direction = np.exp(1j * angle)
     gap_values = np.empty(radii.size)

@@ -12,6 +12,8 @@ import numpy as np
 from . import __version__
 from .pspec import PseudospectrumGrid
 
+WIDTH = 640     # pixels; the height follows the region's aspect ratio
+
 # light -> dark blues, used from the largest level down
 _BAND_COLORS = ["#c6dbef", "#9ecae1", "#6baed6", "#3182bd", "#08519c", "#08306b"]
 
@@ -23,20 +25,20 @@ def _band_color(i: int, n: int) -> str:
     return _BAND_COLORS[min(lo + i, len(_BAND_COLORS) - 1)]
 
 
-def render_svg(grid: PseudospectrumGrid, levels, eigenvalues, width: int = 640) -> str:
+def render_svg(grid: PseudospectrumGrid, levels, eigenvalues) -> str:
     """Render sublevel bands {smin < level} and eigenvalue dots as SVG."""
     region = grid.region
     span_re = region.re_max - region.re_min
     span_im = region.im_max - region.im_min
-    height = int(round(width * span_im / span_re))
+    height = int(round(WIDTH * span_im / span_re))
 
     def px(re: float) -> float:
-        return (re - region.re_min) / span_re * width
+        return (re - region.re_min) / span_re * WIDTH
 
     def py(im: float) -> float:
         return (region.im_max - im) / span_im * height
 
-    cell_w = width / (region.nx - 1)
+    cell_w = WIDTH / (region.nx - 1)
     cell_h = height / (region.ny - 1)
     xs = grid.region.re_points()
     ys = grid.region.im_points()
@@ -44,9 +46,9 @@ def render_svg(grid: PseudospectrumGrid, levels, eigenvalues, width: int = 640) 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f"<!-- resolventlab {__version__} -->",
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{height}" '
+        f'viewBox="0 0 {WIDTH} {height}">',
+        f'<rect width="{WIDTH}" height="{height}" fill="#ffffff"/>',
     ]
     ordered = sorted(set(float(e) for e in levels), reverse=True)
     for i, level in enumerate(ordered):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import ensure_matrix
+from .matcore import ensure_matrix, singularity_floor
 
 DOUBLE_EIGENVALUE_RADIAL = "double-eigenvalue-radial"
 NORMAL_SADDLE_LINE = "normal-saddle-line"
@@ -67,7 +67,9 @@ def wh(a, z: complex) -> WH:
     m = _ensure_2x2(a)
     shifted = m - z * np.eye(2)
     w = float(np.sum(np.abs(shifted) ** 2))
-    h = float(abs(np.linalg.det(shifted)) ** 2)
+    # not np.linalg.det: its LU divides by a subnormal pivot and returns NaN
+    (s11, s12), (s21, s22) = shifted
+    h = float(abs(s11 * s22 - s12 * s21) ** 2)
     return WH(w, h)
 
 
@@ -79,13 +81,18 @@ def closed_form_norm(a, z: complex) -> float:
     root is taken as sqrt((p - q)^2 + 4|r|^2), with p and q the squared row
     norms of A - zI and r their inner product, which is stable also when
     the two singular values are close and w^2 - 4h cancels.
+
+    z is on the spectrum, as in :func:`~resolventlab.matcore.resolvent_norm`,
+    when smin = sqrt(h) / sigma_max falls at or below the singularity floor;
+    sigma_max^2 = (w + sqrt(w^2 - 4h)) / 2 comes from the same closed form.
     """
     v = wh(a, z)
-    if v.h == 0.0:
-        return math.inf
     rows = _ensure_2x2(a) - z * np.eye(2)
     p, q = np.sum(np.abs(rows) ** 2, axis=1)
     disc = math.hypot(p - q, 2.0 * abs(np.vdot(rows[1], rows[0])))
+    smax = math.sqrt(0.5 * (v.w + disc))
+    if math.sqrt(v.h) <= smax * singularity_floor(smax + abs(z), z):
+        return math.inf
     return math.sqrt((v.w + disc) / (2.0 * v.h))
 
 

@@ -29,8 +29,7 @@ def random_normal_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     return q @ np.diag(d) @ q.conj().T
 
 
-def gapped_instance(seed: int, n: int, min_ratio: float = 1.05,
-                    min_dist: float = 0.15, gap_tol: float = 1e-6):
+def gapped_instance(seed: int, n: int, min_ratio: float = 1.05, min_dist: float = 0.15):
     """Deterministic (A, z, report) with a healthy spectral gap at z.
 
     Draws a seeded random matrix, then scans seeded candidate points until
@@ -43,7 +42,7 @@ def gapped_instance(seed: int, n: int, min_ratio: float = 1.05,
         if distance_to_spectrum(a, z) < min_dist:
             continue
         try:
-            report = spectral_gap_report(a, z, gap_tol)
+            report = spectral_gap_report(a, z)
         except NoGapError:
             continue
         if report.gap_ratio >= min_ratio:

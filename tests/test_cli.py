@@ -2,11 +2,13 @@
 
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from resolventlab.cli import main
+from resolventlab.cli import _build_parser, _merge_leading_dash_values, main
 from resolventlab.matio import (
     format_complex,
     load_matrix,
@@ -200,6 +202,21 @@ class TestCommands:
             out = tmp_path / f"{args[0]}.json"
             assert main(["examples", "build", *args, "--out", str(out)]) == 0
             assert load_matrix(out).shape == (n, n)
+
+
+def test_readme_commands_parse():
+    # catches docs that still name a removed flag or subcommand
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = [shlex.split(line, comments=True)[1:]
+                for line in text.replace("\\\n", " ").splitlines()
+                if line.startswith("resolventlab ")]
+    assert len(commands) >= 8
+    parser = _build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(_merge_leading_dash_values(argv))
+        except SystemExit:
+            pytest.fail(f"README command does not parse: resolventlab {shlex.join(argv)}")
 
 
 def test_figure_one_scenario(tmp_path, capsys):

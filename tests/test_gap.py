@@ -14,7 +14,7 @@ DIAG124 = np.diag([1.0 + 0j, 2.0, 4.0])
 
 
 def test_diagonal_case():
-    report = spectral_gap_report(DIAG124, 0, gap_tol=0.1)
+    report = spectral_gap_report(DIAG124, 0)
     assert report.lambda_max == pytest.approx(1.0, rel=1e-12)
     assert report.a_z == pytest.approx(0.25, rel=1e-12)
     assert report.multiplicity == 1
@@ -105,7 +105,7 @@ def test_lambda_max_is_squared_resolvent_norm():
 
 class TestRieszProjection:
     def test_rank_one_diagonal(self):
-        report = spectral_gap_report(DIAG124, 0, gap_tol=0.1)
+        report = spectral_gap_report(DIAG124, 0)
         p = riesz_projection(report)
         e1 = np.zeros((3, 3))
         e1[0, 0] = 1.0

@@ -37,8 +37,8 @@ OMEGA = np.exp(2j * np.pi / 3)
 NORMAL3 = np.diag([1.0 + 0j, OMEGA, OMEGA.conjugate()])
 
 
-def report_at(a, z, gap_tol=1e-6):
-    return spectral_gap_report(a, z, gap_tol)
+def report_at(a, z):
+    return spectral_gap_report(a, z)
 
 
 class TestGrowthDirection:

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from resolventlab import path
 from resolventlab.builders import cyclic_matrix, example_last, truncated_shift
 from resolventlab.errors import DomainError, MaxVerticesExceeded, ResolventLabError
 from resolventlab.gap import spectral_gap_report
 from resolventlab.growth import growth_direction
 from resolventlab.matcore import distance_to_spectrum, smin_points
-from resolventlab.path import PathOptions, PolygonalPath, build_path, validate_path
+from resolventlab.path import PolygonalPath, build_path, validate_path
 
 from conftest import random_matrix
 
@@ -122,7 +123,7 @@ class TestFallbackCircle:
         (truncated_shift([0.5, 1, 2, 1, 0.5]), 0.65, SHIFT_VERTICES, SHIFT_NORMS),
     ])
     def test_path_from_local_minimum(self, a, eps, vertices, norms):
-        assert growth_direction(a, 0j, spectral_gap_report(a, 0j, 1e-6)).phi is None
+        assert growth_direction(a, 0j, spectral_gap_report(a, 0j)).phi is None
         p = build_path(a, 0j, eps)
         assert validate_path(a, p, eps)
         assert np.all(np.diff(p.vertex_norms) > 0)
@@ -166,8 +167,8 @@ class TestValidatePath:
 
 
 class TestPathOptions:
-    def test_max_vertices_respected(self):
+    def test_max_vertices_respected(self, monkeypatch):
         # one loop iteration can append a vertex but never certify arrival
-        opts = PathOptions(max_vertices=1)
+        monkeypatch.setattr(path, "MAX_VERTICES", 1)
         with pytest.raises(MaxVerticesExceeded):
-            build_path(DIAG03, 1.4, 1.5, opts)
+            build_path(DIAG03, 1.4, 1.5)

@@ -27,7 +27,7 @@ class TestSchurComplement:
     def test_diagonal_decoupled(self):
         # off-diagonal blocks vanish for diagonal S, so F(z, lam) = (1 - lam)
         for lam in (0.5, 0.7, 1.3):
-            f = schur_complement(DIAG124, 0, 0, lam, gap_tol=0.1)
+            f = schur_complement(DIAG124, 0, 0, lam)
             assert f.shape == (1, 1)
             assert f[0, 0] == pytest.approx(1.0 - lam, rel=1e-12)
 
@@ -66,9 +66,9 @@ class TestWOperator:
     def test_diagonal_spectrum_tracks_exactly(self):
         # diagonal matrices decouple the top block completely, so sigma(W)
         # coincides with sigma(S(zeta)) inside the disk to machine precision
-        report = spectral_gap_report(DIAG124, 0, gap_tol=0.1)
+        report = spectral_gap_report(DIAG124, 0)
         zeta = 0.1
-        w = w_operator(DIAG124, 0, zeta, gap_tol=0.1)
+        w = w_operator(DIAG124, 0, zeta)
         s_evals = np.linalg.eigvalsh(gram(DIAG124, zeta))
         disk = gap_disk(report)
         s_in = s_evals[disk.contains(s_evals)]
@@ -178,7 +178,7 @@ class TestCubicOrderSweep:
         # for diagonal matrices the top block decouples at every angle, so
         # |lambda_max(zeta) - ||W||| is identically zero up to rounding and
         # carries no order information (the fit reports +inf)
-        report = cubic_order_sweep(DIAG124, 0, 0.0, [1e-1, 1e-2, 1e-3, 1e-4], gap_tol=0.1)
+        report = cubic_order_sweep(DIAG124, 0, 0.0, [1e-1, 1e-2, 1e-3, 1e-4])
         assert np.all(report.norm_gap.values <= 1e-12)
         assert report.norm_gap.slope == np.inf or report.norm_gap.slope >= 2.7
 

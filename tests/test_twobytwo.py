@@ -1,13 +1,14 @@
 """Closed-form 2x2 landscape: w/h, norm formula, classification, g."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from resolventlab.builders import scaled_rotated, type1_matrix, type2_matrix
-from resolventlab.matcore import resolvent_norm
+from resolventlab.matcore import resolvent_norm, singularity_floor
 from resolventlab.twobytwo import (
     DOUBLE_EIGENVALUE_RADIAL,
     NON_NORMAL_SADDLE,
@@ -22,6 +23,7 @@ from resolventlab.twobytwo import (
 from conftest import random_matrix
 
 NILPOTENT = np.array([[0, 1], [0, 0]], dtype=complex)
+EPS = np.finfo(float).eps
 
 
 def small_complex(bound=3.0):
@@ -47,12 +49,17 @@ class TestWH:
         assert v.h == pytest.approx(1.0)
 
     @given(matrices_2x2(), small_complex())
+    # a subnormal LU pivot: h was NaN when wh used np.linalg.det
+    @example(np.array([[1.25, 1.0], [-2.2250738585e-313 - 2.2250738585e-313j, 1.0]]), 1.25)
     def test_h_is_characteristic_polynomial_modulus(self, m, z):
         v = wh(m, z)
-        tr = complex(np.trace(m))
-        det = complex(np.linalg.det(m))
-        want = abs(z * z - tr * z + det) ** 2
-        assert v.h == pytest.approx(want, rel=1e-9, abs=1e-9)
+        tr = m[0, 0] + m[1, 1]
+        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        q = z * z - tr * z + det
+        # both sides evaluate det(A - zI) with an absolute rounding error below
+        # 8 eps (|z| + ||A||_F)^2 each, and | |x|^2 - |y|^2 | <= (|x| + |y|) |x - y|
+        err = 16.0 * EPS * (abs(z) + np.linalg.norm(m)) ** 2
+        assert abs(v.h - abs(q) ** 2) <= 1e-12 * abs(q) ** 2 + (math.sqrt(v.h) + abs(q)) * err
 
 
 class TestClosedFormNorm:
@@ -72,6 +79,16 @@ class TestClosedFormNorm:
     def test_infinite_on_spectrum(self):
         assert closed_form_norm(np.diag([1.0 + 0j, 2.0]), 2.0) == math.inf
 
+    def test_spectrum_agrees_with_resolvent_norm(self):
+        # at computed eigenvalues h is rounding noise, not 0; the closed form
+        # returned about 1e15 there until it used the singularity floor
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            a = random_matrix(rng, 2)
+            for lam in np.linalg.eigvals(a):
+                assert math.isfinite(closed_form_norm(a, lam)) == math.isfinite(
+                    resolvent_norm(a, lam).norm)
+
     def test_agrees_with_svd_on_random_draws(self):
         rng = np.random.default_rng(11)
         checked = 0
@@ -87,14 +104,26 @@ class TestClosedFormNorm:
     @given(matrices_2x2(), small_complex())
     # equal singular values to 8 digits, where w^2 - 4h cancels
     @example(np.array([[0, 2], [2, 1 + 1e-8j]], dtype=complex), 1j)
+    # the rounded points are no exact mirror images: their norms differ by 1.6e-12
+    @example(np.array([[1j, 1.9921875j], [1.9921875j, 1j]]), 1.9920514922913044j)
+    # both points are eigenvalues: inf and 9.0e15 before the singularity floor
+    @example(np.array([[1j, 1.9920514922913044j], [1.9920514922913044j, 1j]]), 1.9920514922913044j)
     def test_symmetry_about_half_trace(self, m, z):
         center = complex(np.trace(m)) / 2
-        lhs = closed_form_norm(m, center + z)
-        rhs = closed_form_norm(m, center - z)
-        if math.isfinite(lhs) and math.isfinite(rhs):
-            assert lhs == pytest.approx(rhs, rel=1e-12)
-        else:
-            assert lhs == rhs
+        points = (center + z, center - z)
+        lhs, rhs = (closed_form_norm(m, p) for p in points)
+        # compared as smin = 1/norm (0 on the spectrum), which is 1-Lipschitz in
+        # z: 1e-12 relative, plus the backward error 8 eps sigma_max of any
+        # double-precision evaluation, plus the distance of the rounded points
+        # from exact mirror images about tr(A)/2
+        s_l, s_r = 1.0 / lhs, 1.0 / rhs
+        smax = max(np.linalg.norm(m - p * np.eye(2), 2) for p in points)
+        exact = [Fraction(x) for p in (*points, -m[0, 0], -m[1, 1]) for x in (p.real, p.imag)]
+        defect = math.hypot(float(sum(exact[0::2])), float(sum(exact[1::2])))
+        tol = 1e-12 * max(s_l, s_r) + 8.0 * EPS * smax + defect
+        if s_l == 0.0 or s_r == 0.0:    # there smin is only known to be below the floor
+            tol += max(singularity_floor(smax + abs(p), p) for p in points)
+        assert abs(s_l - s_r) <= tol
 
 
 class TestClassify:
