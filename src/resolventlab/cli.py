@@ -159,6 +159,7 @@ def _cmd_path(args) -> int:
         "vertices": [complex(v) for v in p.vertices],
         "vertex_norms": list(p.vertex_norms),
         "terminal_eigenvalue": p.terminal_eigenvalue,
+        "certified": p.certified,
     }, args.out)
     return 0
 

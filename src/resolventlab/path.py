@@ -2,10 +2,12 @@
 
 From any point of the strict sublevel set {smin < epsilon} the resolvent
 norm can be driven uphill along growth-certificate directions until an
-eigenvalue ball of radius epsilon/2 is reached. Every traversed segment is
-sampled at ``SAMPLES_PER_SEGMENT`` equispaced points, each above the floor
-(f(z1) + 1/epsilon)/2 > 1/epsilon, so the sampled path lies inside the
-pseudospectrum; between samples it is not proven to.
+eigenvalue ball of radius epsilon/2 is reached. Every traversed segment
+keeps its norm at or above the floor (f(z1) + 1/epsilon)/2 > 1/epsilon at
+``SAMPLES_PER_SEGMENT`` equispaced samples, so the sampled path lies inside
+the pseudospectrum. Between samples a segment is proven inside wherever the
+Lipschitz bound on smin closes and only sampled elsewhere; the path's
+``certified`` flag says which.
 """
 
 from __future__ import annotations
@@ -39,20 +41,61 @@ class PolygonalPath:
     terminal_eigenvalue: complex
     floor: float
     vertex_norms: np.ndarray
+    certified: bool = False   # every segment proven above the floor, not only sampled
 
     def __post_init__(self):
         self.vertices.setflags(write=False)
         self.vertex_norms.setflags(write=False)
 
 
-def _norms_on_segment(a, x, y) -> np.ndarray:
-    """Norms at the equispaced samples of [x, y]; one row per segment when
-    ``x`` or ``y`` is an array."""
+def _segments_above_floor(a, x, y, floor):
+    """Check the segments [x, y] against the floor, one row per segment when
+    ``x`` or ``y`` is an array; returns ``(ok, certified, end_norms)``.
+
+    ``ok``: the norm is at or above ``floor`` at all ``SAMPLES_PER_SEGMENT``
+    equispaced samples t = i/63. ``certified``: ``ok``, and the segment is
+    proven there between the samples too. ``end_norms``: the norm at t = 1.
+
+    smin(A - zI) is 1-Lipschitz in z, so between samples i and j, h apart,
+    smin <= (s_i + s_j + (j - i) h)/2. A stretch whose bound, plus the SVD's
+    backward error, is below 1/floor is proven and its inner samples are
+    skipped; any other is split at (i + j)//2 down to adjacent samples,
+    which stay sampled leaves. A sample below the floor rejects its segment.
+    Each level is one batch over all segments, and no sample is evaluated
+    twice, so no segment costs more than ``SAMPLES_PER_SEGMENT`` points.
+    """
     ts = np.linspace(0.0, 1.0, SAMPLES_PER_SEGMENT)
-    x = np.asarray(x)
-    pts = x[..., None] + ts * (y - x)[..., None]
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
+    x, d = x.ravel(), (y - x).ravel()
+    n, last = x.size, SAMPLES_PER_SEGMENT - 1
+    h = np.abs(d) / last
+    # the SVD's backward error in smin, 8 eps sigma_1(A - zI) <= 8 eps (||A||_F + |z|)
+    slack = 8.0 * np.finfo(float).eps * (math.sqrt(np.vdot(a, a).real)
+                                         + np.maximum(np.abs(x), np.abs(y.ravel())))
+    s = np.empty((n, SAMPLES_PER_SEGMENT))   # smin at the evaluated samples
+    ok = np.ones(n, dtype=bool)
+    certified = np.ones(n, dtype=bool)
+
+    def evaluate(seg, i):
+        s[seg, i] = smin_points(a, x[seg] + ts[i] * d[seg])
+        with np.errstate(divide="ignore"):
+            ok[seg[1.0 / s[seg, i] < floor]] = False
+
+    evaluate(np.repeat(np.arange(n), 2), np.tile([0, last], n))
+    seg, i, j = np.arange(n), np.zeros(n, dtype=int), np.full(n, last)
+    while True:
+        seg, i, j = (v[ok[seg]] for v in (seg, i, j))
+        unproven = 0.5 * (s[seg, i] + s[seg, j] + (j - i) * h[seg]) + slack[seg] >= 1.0 / floor
+        certified[seg[unproven & (j - i == 1)]] = False
+        split = unproven & (j - i > 1)
+        if not split.any():
+            break
+        seg, i, j = (v[split] for v in (seg, i, j))
+        mid = (i + j) // 2
+        evaluate(seg, mid)
+        seg, i, j = np.concatenate([seg, seg]), np.concatenate([i, mid]), np.concatenate([mid, j])
     with np.errstate(divide="ignore"):
-        return 1.0 / smin_points(a, pts)
+        return ok, certified & ok, 1.0 / s[:, last]
 
 
 def build_path(a, z: complex, epsilon: float) -> PolygonalPath:
@@ -63,8 +106,9 @@ def build_path(a, z: complex, epsilon: float) -> PolygonalPath:
     distance to the spectrum is taken, backtracking geometrically, with a
     64-direction circle search as fallback when the line search underflows.
     Feasible means every sampled point of the segment keeps its norm at or
-    above the floor and the endpoint strictly improves; the segments are
-    sampled, not proven to stay inside.
+    above the floor and the endpoint strictly improves. The path is
+    ``certified`` when the Lipschitz bound proves every accepted segment
+    above the floor between its samples too.
     """
     a = ensure_matrix(a)
     if epsilon <= 0:
@@ -80,6 +124,7 @@ def build_path(a, z: complex, epsilon: float) -> PolygonalPath:
     norms = [f0]
     min_step = MIN_STEP_RTOL * (1.0 + abs(z))
     consecutive_stalls = 0
+    certified = True
 
     for _ in range(MAX_VERTICES):
         current = vertices[-1]
@@ -87,8 +132,8 @@ def build_path(a, z: complex, epsilon: float) -> PolygonalPath:
         dist = float(np.abs(eigs - current).min())
         if dist < 0.5 * epsilon:
             terminal = complex(eigs[int(np.abs(eigs - current).argmin())])
-            return PolygonalPath(float(epsilon), np.array(vertices),
-                                 terminal, float(floor), np.array(norms))
+            return PolygonalPath(float(epsilon), np.array(vertices), terminal,
+                                 float(floor), np.array(norms), certified)
 
         # NoGapError propagates with the stalled vertex in its payload
         report = spectral_gap_report(a, current)
@@ -100,9 +145,9 @@ def build_path(a, z: complex, epsilon: float) -> PolygonalPath:
             step = STEP_FRACTION * dist
             while step >= min_step:
                 y = current + step * direction
-                seg = _norms_on_segment(a, current, y)
-                if np.all(seg >= floor) and seg[-1] > f_cur:
-                    accepted = (y, float(seg[-1]), step)
+                (ok,), (proven,), (f_end,) = _segments_above_floor(a, current, y, floor)
+                if ok and f_end > f_cur:
+                    accepted = (y, float(f_end), step, proven)
                     break
                 step *= BACKTRACK
 
@@ -112,13 +157,13 @@ def build_path(a, z: complex, epsilon: float) -> PolygonalPath:
             radius = 0.25 * dist
             thetas = 2.0 * math.pi * np.arange(FALLBACK_ANGLES) / FALLBACK_ANGLES
             ys = current + radius * np.exp(1j * thetas)
-            segs = _norms_on_segment(a, current, ys)
-            ok = np.all(segs >= floor, axis=1) & (segs[:, -1] > f_cur)
+            ok, proven, f_ends = _segments_above_floor(a, current, ys, floor)
+            ok &= f_ends > f_cur
             if not ok.any():
                 raise StallDetected(
                     f"no uphill step found at vertex {current} (norm {f_cur:.6e})")
-            j = int(np.argmax(np.where(ok, segs[:, -1], -np.inf)))   # first maximum
-            accepted = (complex(ys[j]), float(segs[j, -1]), radius)
+            j = int(np.argmax(np.where(ok, f_ends, -np.inf)))   # first maximum
+            accepted = (complex(ys[j]), float(f_ends[j]), radius, proven[j])
             consecutive_stalls += 1
             if consecutive_stalls >= 2 and accepted[2] < min_step:
                 raise StallDetected(
@@ -128,18 +173,20 @@ def build_path(a, z: complex, epsilon: float) -> PolygonalPath:
 
         vertices.append(accepted[0])
         norms.append(accepted[1])
+        certified = certified and bool(accepted[3])
 
     raise MaxVerticesExceeded(f"no eigenvalue ball reached within {MAX_VERTICES} vertices")
 
 
 def validate_path(a, path: PolygonalPath, epsilon: float) -> bool:
-    """Re-check the path invariants by independent sampling.
+    """Re-check the path invariants from the matrix alone.
 
     Verifies membership of the first vertex, the floor bound at
     ``SAMPLES_PER_SEGMENT`` equispaced points of every segment, and the
-    terminal eigenvalue ball condition. The segments are sampled, not
-    proven: a neck of the pseudospectrum narrower than the sample spacing
-    goes unseen.
+    terminal eigenvalue ball condition. Between samples a segment is proven
+    only where the Lipschitz bound closes: a neck of the pseudospectrum
+    narrower than the sample spacing goes unseen, and such a path cannot
+    be ``certified``.
     """
     a = ensure_matrix(a)
     v = np.asarray(path.vertices, dtype=complex)
@@ -155,4 +202,5 @@ def validate_path(a, path: PolygonalPath, epsilon: float) -> bool:
         return False
     if abs(complex(path.terminal_eigenvalue) - complex(v[-1])) >= 0.5 * epsilon:
         return False
-    return bool(np.all(_norms_on_segment(a, v[:-1], v[1:]) >= path.floor))
+    ok, _, _ = _segments_above_floor(a, v[:-1], v[1:], path.floor)
+    return bool(np.all(ok))

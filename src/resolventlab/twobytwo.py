@@ -101,7 +101,8 @@ def half_eigen_difference(a) -> complex:
     m = _ensure_2x2(a)
     center = complex(np.trace(m)) / 2.0
     a1 = m - center * np.eye(2)
-    return cmath.sqrt(-np.linalg.det(a1))
+    # -det(a1) of the trace-free part, from the 2x2 formula as in wh
+    return cmath.sqrt(a1[0, 0] ** 2 + a1[0, 1] * a1[1, 0])
 
 
 def k_parameter(a) -> float:

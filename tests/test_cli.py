@@ -124,6 +124,14 @@ class TestCommands:
         assert payload["kind"] == "non-normal-saddle"
         assert payload["k"] == pytest.approx(6.0)
 
+    def test_classify2_with_subnormal_entry(self, tmp_path, capsys):
+        # np.linalg.det returned nan here, and classify raised OverflowError,
+        # which main does not catch; eigenvalues 1 +/- 1e-155 count as double
+        path = tmp_path / "m.json"
+        save_matrix(path, np.array([[1, 1], [1e-310, 1]], dtype=complex))
+        assert main(["classify2", "--matrix", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["kind"] == "double-eigenvalue-radial"
+
     def test_certify_min_on_example_last(self, example_last_file, capsys):
         assert main(["certify-min", "--matrix", example_last_file, "--z", "0+0i",
                      "--radius", "0.05", "--angles", "720"]) == 0
@@ -164,6 +172,7 @@ class TestCommands:
         assert len(payload["vertices"]) == len(payload["vertex_norms"])
         norms = payload["vertex_norms"]
         assert all(b > a for a, b in zip(norms, norms[1:]))
+        assert payload["certified"] is True
 
     def test_pspec_scan_csv_contours_svg(self, tmp_path, capsys):
         path = tmp_path / "m.json"

@@ -1,5 +1,8 @@
 """Polygonal ascent paths inside the pseudospectrum."""
 
+from collections import Counter
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -44,6 +47,9 @@ SHIFT_NORMS = [
     "0x1.0000000000000p+1", "0x1.1bbe22c408ae7p+1", "0x1.df14dc4cdd064p+1",
     "0x1.bf13e5abee129p+2",
 ]
+
+
+NECK = np.diag([0.0 + 0j, 1.0])   # smin(A - 0.5) = 0.5 between two disks
 
 
 def interior_point(rng, a, min_dist=0.2):
@@ -101,6 +107,16 @@ class TestBuildPath:
             ok += 1
         assert ok >= 95
 
+    def test_certified_when_every_segment_is_proven(self):
+        # smin is the distance to {0, 3}, so each stretch's bound is its
+        # start value, below 1/floor with room to spare
+        assert build_path(DIAG03, 1.4, 1.5).certified
+        rng = np.random.default_rng(1000)   # first input of the statistical test
+        a = random_matrix(rng, 8)
+        z = interior_point(rng, a)
+        p = build_path(a, z, 1.3 * float(smin_points(a, np.array([z]))[0]))
+        assert len(p.vertices) > 2 and p.certified
+
 
 class TestExtremeLandscape:
     def test_cyclic_high_contrast_paths(self):
@@ -132,6 +148,31 @@ class TestFallbackCircle:
         assert np.all(p.vertices.imag == 0.0)
         assert list(p.vertex_norms) == pytest.approx(list(map(float.fromhex, norms)), rel=1e-6)
 
+    def test_cyclic_path_is_sampled_not_certified(self):
+        # 1/floor - smin is about 1e-7 against steps 0.025 long: the Lipschitz
+        # bound cannot close on every stretch of adjacent samples
+        a = cyclic_matrix([1e6] + [1.0] * 5)
+        p = build_path(a, 0j, 1.3e-6)
+        assert validate_path(a, p, 1.3e-6)
+        assert not p.certified
+
+    def test_floor_rejects_the_best_rising_direction(self, monkeypatch):
+        # with the certificate withheld every step comes from the circle; at
+        # z = 0.55 its highest rising endpoint lies beyond a dip below the floor
+        a = example_last()
+        z = 0.55 + 0j
+        eps = 1.05 * float(smin_points(a, np.array([z]))[0])
+        monkeypatch.setattr(path, "growth_direction", lambda a, z, report: SimpleNamespace(phi=None))
+        p = build_path(a, z, eps)
+        ts = np.linspace(0.0, 1.0, path.SAMPLES_PER_SEGMENT)
+        thetas = 2.0 * np.pi * np.arange(path.FALLBACK_ANGLES) / path.FALLBACK_ANGLES
+        ys = z + 0.25 * distance_to_spectrum(a, z) * np.exp(1j * thetas)
+        norms = 1.0 / smin_points(a, z + ts * (ys - z)[:, None])
+        best = int(np.argmax(np.where(norms[:, -1] > norms[0, 0], norms[:, -1], -np.inf)))
+        assert norms[best].min() < p.floor
+        assert p.vertices[1] != ys[best]
+        assert validate_path(a, p, eps)
+
 
 class TestValidatePath:
     def test_accepts_build_output(self):
@@ -155,15 +196,84 @@ class TestValidatePath:
                           np.array([1 / 1.5]))
         assert not validate_path(DIAG03, p, 0.4)
 
-    @pytest.mark.xfail(strict=True, reason="segments are sampled, not proven: "
-                       "ROADMAP open item 1 (certified path segments)")
+    @pytest.mark.xfail(strict=True, reason="a neck between two samples leaves the path "
+                       "uncertified, not rejected: ROADMAP open item 1")
     def test_rejects_segment_leaving_between_samples(self):
         # smin(A - 0.5) = 0.5 > eps, so the segment leaves the pseudospectrum
         # through the neck between the two disks; no sample lands there
-        a = np.diag([0.0 + 0j, 1.0])
         p = PolygonalPath(0.499, np.array([0.1 + 0j, 0.9 + 0j]), 1.0 + 0j, 2.005,
                           np.array([10.0, 10.0]))
-        assert not validate_path(a, p, 0.499)
+        assert not validate_path(NECK, p, 0.499)
+
+
+class TestSegmentsAboveFloor:
+    """``ok`` is the rule "every sample at or above the floor", at no more
+    than ``SAMPLES_PER_SEGMENT`` evaluated points per segment."""
+
+    @staticmethod
+    def spied(monkeypatch):
+        evaluated = []
+
+        def spy(a, zs):
+            evaluated.extend(np.ravel(zs).tolist())
+            return smin_points(a, zs)
+
+        monkeypatch.setattr(path, "smin_points", spy)
+        return evaluated
+
+    @staticmethod
+    def samples(x, y):
+        ts = np.linspace(0.0, 1.0, path.SAMPLES_PER_SEGMENT)
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
+        return x[..., None] + ts * (y - x)[..., None]
+
+    def check(self, evaluated, pts, ok, end_norms, norms, floor):
+        assert list(ok) == list(np.all(norms >= floor, axis=-1))
+        assert np.array_equal(end_norms, norms[:, -1])
+        # every evaluated point is a sample, and none is evaluated more often
+        # than it occurs among the samples
+        counts, grid = Counter(evaluated), Counter(pts.ravel().tolist())
+        assert all(counts[z] <= grid[z] for z in counts)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_ok_is_the_sample_rule(self, seed, monkeypatch):
+        rng = np.random.default_rng(3000 + seed)
+        a = random_matrix(rng, 6)
+        eigs = np.linalg.eigvals(a)
+        # from near one eigenvalue to near another: the norm dips in between,
+        # so the level crosses the segment and a lone low sample can sit inside
+        lo, hi = rng.choice(eigs, 2, replace=False)
+        x, y = (lam + 0.05 * complex(*rng.standard_normal(2)) for lam in (lo, hi))
+        pts = self.samples(x, [y])
+        norms = 1.0 / smin_points(a, pts)
+        low = np.sort(norms.ravel())
+        evaluated = self.spied(monkeypatch)
+        for floor in (low[0] * (1 - 1e-9), low[0], low[1], low[5], np.median(low)):
+            evaluated.clear()
+            ok, certified, end_norms = path._segments_above_floor(a, x, y, floor)
+            self.check(evaluated, pts, ok, end_norms, norms, floor)
+            assert not (certified & ~ok).any()
+        # far below the samples the bound closes on every stretch
+        ok, certified, _ = path._segments_above_floor(a, x, y, 0.5 * low[0])
+        assert ok[0] and certified[0]
+
+        # the fallback circle's shape: one start, 64 directions
+        radius = 0.25 * float(np.abs(eigs - x).min())
+        ys = x + radius * np.exp(2j * np.pi * np.arange(path.FALLBACK_ANGLES) / path.FALLBACK_ANGLES)
+        pts = self.samples(x, ys)
+        norms = 1.0 / smin_points(a, pts)
+        floor = float(np.median(norms.min(axis=1)))
+        evaluated.clear()
+        ok, certified, end_norms = path._segments_above_floor(a, x, ys, floor)
+        self.check(evaluated, pts, ok, end_norms, norms, floor)
+        assert 0 < ok.sum() < ok.size
+
+    def test_neck_between_samples_is_ok_but_not_certified(self):
+        # the input of the strict xfail above: every sample passes, and the
+        # bound cannot close across the neck
+        ok, certified, end_norms = path._segments_above_floor(NECK, 0.1, 0.9, 2.005)
+        assert ok[0] and not certified[0]
+        assert end_norms[0] == pytest.approx(10.0)
 
 
 class TestPathOptions:

@@ -16,6 +16,7 @@ from resolventlab.twobytwo import (
     classify,
     closed_form_norm,
     g_function,
+    half_eigen_difference,
     k_parameter,
     wh,
 )
@@ -127,6 +128,18 @@ class TestClosedFormNorm:
 
 
 class TestClassify:
+    @given(matrices_2x2())
+    # a subnormal LU pivot: lambda was nan+nanj when taken from np.linalg.det
+    @example(np.array([[1, 1], [1e-310, 1]], dtype=complex))
+    def test_half_eigen_difference_gives_trace_and_det(self, m):
+        # eigenvalues center +/- lam have product center^2 - lam^2 = det(A);
+        # each side rounds with an error below 8 eps ||A||_F^2
+        lam = half_eigen_difference(m)
+        center = (m[0, 0] + m[1, 1]) / 2
+        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        assert math.isfinite(abs(lam))
+        assert abs(center ** 2 - lam ** 2 - det) <= 16.0 * EPS * np.linalg.norm(m) ** 2
+
     def test_jordan_type_is_radial(self):
         cls = classify(type1_matrix(1, c=2.5))
         assert cls.kind == DOUBLE_EIGENVALUE_RADIAL
